@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .errors import AnatomyInconsistent, TractvarError
 from .geometry import (
-    Circle,
     Point2D,
     Polyline,
     distance,
@@ -134,11 +133,6 @@ def palatal_reference_center(palate: Polyline) -> Point2D:
     Only the center is kept; the circle itself plays no further role.
     """
     return fit_circle(palate.points).center
-
-
-def palatal_reference_circle(palate: Polyline) -> Circle:
-    """Full least-squares circle through the palate trace, for plotting."""
-    return fit_circle(palate.points)
 
 
 def build_speaker_anatomy(

@@ -8,7 +8,8 @@ radians on (-pi, pi].
 
 The polyline distance queries are the per-frame hot path, so `Polyline`
 precomputes per-segment arrays once and the queries run vectorized over
-segments.
+segments, one point at a time (`nearest`) or over whole blocks of points
+(`nearest_many`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ TOL_COLLINEAR = 1e-6
 
 # Minimum distance (mm) from a reference center at which an angle is
 # still considered well defined.
-_MIN_ANGLE_RADIUS = 1e-9
+MIN_ANGLE_RADIUS = 1e-9
+
+# Query points per block in `Polyline.nearest_many`.  A block's
+# points-by-segments temporaries stay within the CPU cache for traces of
+# a few hundred points.
+NEAREST_CHUNK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +135,45 @@ class Polyline:
         i = int(np.argmin(d2))
         return i, float(d2[i]), float(cx[i]), float(cy[i])
 
+    def nearest_many(
+        self, px: np.ndarray, py: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`nearest` for every point of the arrays (px, py).
+
+        Returns arrays of segment index, squared distance, closest x and
+        closest y.  Each element is bit-for-bit what `nearest` returns for
+        that point: the arithmetic is the same, only blocked over
+        NEAREST_CHUNK points at a time, and `argmin` keeps the
+        lowest-index tie.
+        """
+        n = len(px)
+        index = np.empty(n, dtype=np.intp)
+        d2 = np.empty(n)
+        cx = np.empty(n)
+        cy = np.empty(n)
+        for start in range(0, n, NEAREST_CHUNK):
+            block = slice(start, start + NEAREST_CHUNK)
+            qx = px[block, None]
+            qy = py[block, None]
+            t = qx * self._ux
+            t += qy * self._uy
+            t -= self._c0
+            np.clip(t, 0.0, 1.0, out=t)
+            bx = self._ax + t * self._dx
+            by = self._ay + t * self._dy
+            ex = qx - bx
+            ey = qy - by
+            ex *= ex
+            ey *= ey
+            ex += ey
+            i = np.argmin(ex, axis=1)
+            rows = np.arange(len(i))
+            index[block] = i
+            d2[block] = ex[rows, i]
+            cx[block] = bx[rows, i]
+            cy[block] = by[rows, i]
+        return index, d2, cx, cy
+
 
 @dataclass(frozen=True, slots=True)
 class ClearanceResult:
@@ -199,7 +244,7 @@ def circle_polyline_clearance(circle: Circle, trace: Polyline) -> ClearanceResul
     c = circle.center
     i, d2, cx, cy = trace.nearest(c.x, c.y)
     center_dist = math.sqrt(d2)
-    if center_dist < _MIN_ANGLE_RADIUS:
+    if center_dist < MIN_ANGLE_RADIUS:
         raise DegenerateAngle(
             "trace passes through the circle center; boundary point undefined"
         )
@@ -357,7 +402,7 @@ def angle_from_reference(center: Point2D, p: Point2D) -> float:
     """
     dx = p.x - center.x
     dy = p.y - center.y
-    if math.hypot(dx, dy) < _MIN_ANGLE_RADIUS:
+    if math.hypot(dx, dy) < MIN_ANGLE_RADIUS:
         raise DegenerateAngle(
             f"point ({p.x}, {p.y}) coincides with the reference center"
         )

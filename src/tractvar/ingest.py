@@ -25,7 +25,10 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+import sys
+from array import array
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
@@ -64,23 +67,89 @@ PELLET_HEADER = (
 TRACE_HEADER = ("x", "y")
 
 
-@dataclass(frozen=True)
 class PelletTrajectory:
-    """A sequence of pellet frames with strictly increasing timestamps."""
+    """One utterance's pellet samples, held as columns.
 
-    speaker_id: str
-    utterance_id: str
-    frames: tuple[PelletFrame, ...]
-    native_rate: float
+    `t` has shape (n,) and increases strictly.  `xy` has shape (n, 8, 2):
+    millimeter coordinates of each pellet in PELLET_NAMES order.  `valid`
+    has shape (n, 8); positions where it is False must not be read.
+    `frames` presents the same samples as PelletFrame objects; it is
+    built on first use and cached.  Treat the arrays as read-only.
+    """
 
-    def __post_init__(self) -> None:
-        if self.native_rate <= 0.0 or not math.isfinite(self.native_rate):
-            raise ValueError(f"native rate must be positive, got {self.native_rate}")
-        for i in range(len(self.frames) - 1):
-            if self.frames[i + 1].t <= self.frames[i].t:
-                raise ValueError(
-                    f"timestamps not strictly increasing at frame {i + 1}"
+    __slots__ = ("speaker_id", "utterance_id", "t", "xy", "valid", "native_rate", "_frames")
+
+    def __init__(
+        self,
+        speaker_id: str,
+        utterance_id: str,
+        frames: Iterable[PelletFrame],
+        native_rate: float,
+    ) -> None:
+        frames = tuple(frames)
+        n = len(frames)
+        t = np.array([f.t for f in frames], dtype=np.float64)
+        xy = np.array(
+            [
+                (p.x, p.y)
+                for f in frames
+                for p in (f.ul, f.ll, f.t1, f.t2, f.t3, f.t4, f.mni, f.mnm)
+            ],
+            dtype=np.float64,
+        ).reshape(n, len(PELLET_NAMES), 2)
+        valid = np.array(
+            [name in f.valid for f in frames for name in PELLET_NAMES], dtype=bool
+        ).reshape(n, len(PELLET_NAMES))
+        self._set(speaker_id, utterance_id, t, xy, valid, native_rate)
+        self._frames = frames
+
+    @classmethod
+    def from_columns(
+        cls,
+        speaker_id: str,
+        utterance_id: str,
+        t: np.ndarray,
+        xy: np.ndarray,
+        valid: np.ndarray,
+        native_rate: float,
+    ) -> PelletTrajectory:
+        self = cls.__new__(cls)
+        self._set(speaker_id, utterance_id, t, xy, valid, native_rate)
+        return self
+
+    def _set(self, speaker_id, utterance_id, t, xy, valid, native_rate) -> None:
+        if native_rate <= 0.0 or not math.isfinite(native_rate):
+            raise ValueError(f"native rate must be positive, got {native_rate}")
+        backwards = np.flatnonzero(t[1:] <= t[:-1])
+        if len(backwards):
+            raise ValueError(
+                f"timestamps not strictly increasing at frame {backwards[0] + 1}"
+            )
+        self.speaker_id = speaker_id
+        self.utterance_id = utterance_id
+        self.t = t
+        self.xy = xy
+        self.valid = valid
+        self.native_rate = native_rate
+        self._frames = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def frames(self) -> tuple[PelletFrame, ...]:
+        if self._frames is None:
+            self._frames = tuple(
+                PelletFrame(
+                    t,
+                    *(Point2D(x, y) for x, y in pellets),
+                    valid=frozenset(compress(PELLET_NAMES, flags)),
                 )
+                for t, pellets, flags in zip(
+                    self.t.tolist(), self.xy.tolist(), self.valid.tolist()
+                )
+            )
+        return self._frames
 
 
 @dataclass
@@ -90,7 +159,6 @@ class IngestReport:
     frames_read: int = 0
     frames_mistracked: int = 0
     pellets_interpolated: int = 0
-    warnings: list[str] = field(default_factory=list)
 
 
 def _parse_float(token: str, path: Path, line: int, column: str) -> float:
@@ -105,34 +173,13 @@ def _parse_float(token: str, path: Path, line: int, column: str) -> float:
     return value
 
 
-def parse_pellet_file(
-    path: str | Path,
-    *,
-    speaker_id: str = "",
-    utterance_id: str | None = None,
-    sentinel_magnitude: float = SENTINEL_MAGNITUDE,
-) -> tuple[PelletTrajectory, IngestReport]:
-    """Read one utterance's pellet CSV.
-
-    Returns the trajectory plus an ingest report.  Raises SchemaError for
-    a bad header and ParseError for malformed rows, non-monotone time, or
-    fewer than two rows.
-    """
-    path = Path(path)
-    report = IngestReport()
-    frames: list[PelletFrame] = []
+def _raise_first_bad_cell(path: Path) -> None:
+    """Check a pellet file cell by cell, in file order, and raise the
+    ParseError for the first bad one: a row of the wrong width, a cell
+    that is not a finite number, or a time that does not increase."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PELLET_HEADER:
-            missing = set(PELLET_HEADER) - {h.strip() for h in header}
-            detail = f"missing columns {sorted(missing)}" if missing else "bad column order"
-            raise SchemaError(
-                f"{path}: header does not match the pellet schema ({detail})"
-            )
+        next(reader)
         prev_t = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -152,31 +199,70 @@ def parse_pellet_file(
                     "t",
                 )
             prev_t = t
-            positions = {}
-            valid = set()
-            for k, name in enumerate(PELLET_NAMES):
-                x = _parse_float(row[1 + 2 * k], path, line_no, f"{name}x")
-                y = _parse_float(row[2 + 2 * k], path, line_no, f"{name}y")
-                positions[name.lower()] = Point2D(x, y)
-                if abs(x) < sentinel_magnitude and abs(y) < sentinel_magnitude:
-                    valid.add(name)
-            if len(valid) < len(PELLET_NAMES):
-                report.frames_mistracked += 1
-            frames.append(PelletFrame(t=t, valid=frozenset(valid), **positions))
-    report.frames_read = len(frames)
-    if len(frames) < 2:
-        raise ParseError(f"need at least 2 rows, got {len(frames)}", path)
-    span = frames[-1].t - frames[0].t
-    native_rate = (len(frames) - 1) / span
-    return (
-        PelletTrajectory(
-            speaker_id=speaker_id,
-            utterance_id=utterance_id if utterance_id is not None else path.stem,
-            frames=tuple(frames),
-            native_rate=native_rate,
-        ),
-        report,
+            for column, token in zip(PELLET_HEADER[1:], row[1:]):
+                _parse_float(token, path, line_no, column)
+
+
+def parse_pellet_file(
+    path: str | Path,
+    *,
+    speaker_id: str = "",
+    utterance_id: str | None = None,
+    sentinel_magnitude: float = SENTINEL_MAGNITUDE,
+) -> tuple[PelletTrajectory, IngestReport]:
+    """Read one utterance's pellet CSV.
+
+    Returns the trajectory plus an ingest report.  Raises SchemaError for
+    a bad header and ParseError for malformed rows, non-finite values,
+    non-monotone time, or fewer than two rows.
+    """
+    path = Path(path)
+    width = len(PELLET_HEADER)
+    cells = array("d")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        if tuple(h.strip() for h in header) != PELLET_HEADER:
+            missing = set(PELLET_HEADER) - {h.strip() for h in header}
+            detail = f"missing columns {sorted(missing)}" if missing else "bad column order"
+            raise SchemaError(
+                f"{path}: header does not match the pellet schema ({detail})"
+            )
+        # One fast pass; a bad file is read again cell by cell so that
+        # its error names the first bad cell in file order.
+        try:
+            for row in reader:
+                if row and len(row) != width:
+                    raise ValueError(row)
+                cells.extend(map(float, row))
+        except ValueError:
+            _raise_first_bad_cell(path)
+    table = np.frombuffer(cells).reshape(-1, width)
+    if not np.isfinite(table).all() or (table[1:, 0] <= table[:-1, 0]).any():
+        _raise_first_bad_cell(path)
+    n = len(table)
+    if n < 2:
+        raise ParseError(f"need at least 2 rows, got {n}", path)
+    t = table[:, 0]
+    xy = table[:, 1:].reshape(n, len(PELLET_NAMES), 2)
+    valid = (np.abs(xy) < sentinel_magnitude).all(axis=2)
+    report = IngestReport(
+        frames_read=n,
+        frames_mistracked=int(np.count_nonzero(~valid.all(axis=1))),
     )
+    native_rate = (n - 1) / (float(t[-1]) - float(t[0]))
+    trajectory = PelletTrajectory.from_columns(
+        speaker_id,
+        utterance_id if utterance_id is not None else path.stem,
+        t,
+        xy,
+        valid,
+        native_rate,
+    )
+    return trajectory, report
 
 
 def write_pellet_file(trajectory: PelletTrajectory, path: str | Path) -> None:
@@ -185,20 +271,13 @@ def write_pellet_file(trajectory: PelletTrajectory, path: str | Path) -> None:
     Valid pellet coordinates round-trip bit-exactly (shortest repr);
     invalid pellets are written as the 1e6 sentinel so the flag survives.
     """
+    n = len(trajectory)
+    cells = np.where(trajectory.valid[:, :, None], trajectory.xy, _SENTINEL_OUT)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PELLET_HEADER)
-        for frame in trajectory.frames:
-            row = [repr(frame.t)]
-            for name in PELLET_NAMES:
-                if frame.is_valid(name):
-                    p = frame.pellet(name)
-                    row.append(repr(p.x))
-                    row.append(repr(p.y))
-                else:
-                    row.append(repr(_SENTINEL_OUT))
-                    row.append(repr(_SENTINEL_OUT))
-            writer.writerow(row)
+        for t, row in zip(trajectory.t.tolist(), cells.reshape(n, -1).tolist()):
+            writer.writerow([repr(t), *map(repr, row)])
 
 
 def parse_trace_file(path: str | Path, kind: str) -> Polyline:
@@ -278,13 +357,12 @@ def resample(
     """
     if target_rate <= 0.0 or not math.isfinite(target_rate):
         raise ValueError(f"target rate must be positive, got {target_rate}")
-    frames = trajectory.frames
-    n = len(frames)
+    times = trajectory.t
+    n = len(times)
     if n < 2:
         raise InsufficientData(
             f"{trajectory.utterance_id}: need at least 2 frames to resample, got {n}"
         )
-    times = np.array([f.t for f in frames], dtype=np.float64)
     span = float(times[-1] - times[0])
     count = int(math.floor(span * target_rate + 1e-9)) + 1
     steps = np.arange(count, dtype=np.float64)
@@ -298,44 +376,30 @@ def resample(
     exact = times[right] == grid
     left = np.where(exact, right, np.maximum(right - 1, 0))
 
-    out_x: dict[str, np.ndarray] = {}
-    out_y: dict[str, np.ndarray] = {}
-    out_valid: dict[str, np.ndarray] = {}
-    for name in PELLET_NAMES:
-        lname = name.lower()
-        valid_mask = np.array([f.is_valid(name) for f in frames], dtype=bool)
-        if int(valid_mask.sum()) < 2:
+    valid = trajectory.valid
+    xy = np.empty((count, len(PELLET_NAMES), 2))
+    for k, name in enumerate(PELLET_NAMES):
+        mask = valid[:, k]
+        n_valid = int(np.count_nonzero(mask))
+        if n_valid < 2:
             raise InsufficientData(
                 f"{trajectory.utterance_id}: pellet {name} has "
-                f"{int(valid_mask.sum())} valid sample(s), cannot interpolate"
+                f"{n_valid} valid sample(s), cannot interpolate"
             )
-        xs = np.array([getattr(f, lname).x for f in frames], dtype=np.float64)
-        ys = np.array([getattr(f, lname).y for f in frames], dtype=np.float64)
-        tv = times[valid_mask]
-        out_x[name] = np.interp(grid, tv, xs[valid_mask])
-        out_y[name] = np.interp(grid, tv, ys[valid_mask])
-        out_valid[name] = valid_mask[left] & valid_mask[right]
-        if report is not None:
-            report.pellets_interpolated += int(np.count_nonzero(~exact))
-
-    new_frames = []
-    for k in range(count):
-        positions = {}
-        valid = set()
-        for name in PELLET_NAMES:
-            positions[name.lower()] = Point2D(
-                float(out_x[name][k]), float(out_y[name][k])
-            )
-            if out_valid[name][k]:
-                valid.add(name)
-        new_frames.append(
-            PelletFrame(t=float(grid[k]), valid=frozenset(valid), **positions)
+        tv = times[mask]
+        xy[:, k, 0] = np.interp(grid, tv, trajectory.xy[mask, k, 0])
+        xy[:, k, 1] = np.interp(grid, tv, trajectory.xy[mask, k, 1])
+    if report is not None:
+        report.pellets_interpolated += len(PELLET_NAMES) * int(
+            np.count_nonzero(~exact)
         )
-    return PelletTrajectory(
-        speaker_id=trajectory.speaker_id,
-        utterance_id=trajectory.utterance_id,
-        frames=tuple(new_frames),
-        native_rate=target_rate,
+    return PelletTrajectory.from_columns(
+        trajectory.speaker_id,
+        trajectory.utterance_id,
+        grid,
+        xy,
+        valid[left] & valid[right],
+        target_rate,
     )
 
 
@@ -372,9 +436,16 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
         ) from None
     thickness = entry.get("thickness_mm")
     if thickness is not None:
-        if not isinstance(thickness, (int, float)) or thickness <= 0:
+        # bool is an int subclass, and JSON admits NaN and overflowing
+        # literals; none of them is a thickness.
+        if (
+            isinstance(thickness, bool)
+            or not isinstance(thickness, (int, float))
+            or not 0.0 < thickness <= sys.float_info.max
+        ):
             raise ConfigError(
-                f"speaker {speaker_id}: thickness_mm must be positive, got {thickness!r}"
+                f"speaker {speaker_id}: thickness_mm must be a positive finite "
+                f"number, got {thickness!r}"
             )
         thickness = float(thickness)
     if not isinstance(utterances, list):
@@ -389,8 +460,32 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
     )
 
 
+def _reject_duplicates(path: Path, speakers: list[SpeakerSpec]) -> None:
+    """Outputs are named by speaker id and by utterance file stem, flat in
+    one directory, so each must be unique across the manifest."""
+    speaker_ids: set[str] = set()
+    stems: dict[str, Path] = {}
+    for spec in speakers:
+        if spec.speaker_id in speaker_ids:
+            raise ConfigError(f"{path}: speaker_id {spec.speaker_id!r} is listed twice")
+        speaker_ids.add(spec.speaker_id)
+        for utterance in spec.utterance_paths:
+            if utterance.stem in stems:
+                raise ConfigError(
+                    f"{path}: utterances {stems[utterance.stem]} and {utterance} "
+                    f"share the file stem {utterance.stem!r}, so their outputs "
+                    f"would collide"
+                )
+            stems[utterance.stem] = utterance
+
+
 def load_manifest(path: str | Path) -> list[SpeakerSpec]:
-    """Load a speaker manifest (single object or list of objects)."""
+    """Load a speaker manifest (single object or list of objects).
+
+    Raises ConfigError for malformed entries, and when two speakers share
+    an id or two utterance files share a stem, since either would make
+    one output overwrite another.
+    """
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -401,4 +496,6 @@ def load_manifest(path: str | Path) -> list[SpeakerSpec]:
     entries = data if isinstance(data, list) else [data]
     if not entries:
         raise ConfigError(f"{path}: manifest lists no speakers")
-    return [_speaker_from_mapping(entry, base) for entry in entries]
+    speakers = [_speaker_from_mapping(entry, base) for entry in entries]
+    _reject_duplicates(path, speakers)
+    return speakers

@@ -1,21 +1,23 @@
 """Batch processing: manifest in, per-utterance TV files out.
 
-Utterances are independent of each other, so they run on a thread pool;
-every output is a pure function of its own input file plus the speaker
-anatomy, which keeps results byte-identical at any parallelism level.
+Utterances are independent of each other.  With parallelism 1 they run
+one after another in the calling thread; above 1 they share one thread
+pool for the whole run.  Every output is a pure function of its own
+input file plus the speaker anatomy, which keeps results byte-identical
+at any parallelism level.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .anatomy import SpeakerAnatomy, build_speaker_anatomy
 from .errors import ConfigError, DataError
 from .ingest import (
-    IngestReport,
     SpeakerSpec,
     TARGET_RATE_HZ,
     load_manifest,
@@ -25,13 +27,16 @@ from .ingest import (
 )
 from .plots import anatomy_svg, tv_svg
 from .tract_variables import TvOptions, compute_trajectory
-from .tvcsv import write_anatomy_json, write_tv_csv
+from .tvcsv import open_atomic, write_anatomy_json, write_tv_csv
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
+
+# Configuration and I/O trouble outranks bad data in the exit code.
+_SEVERITY = {EXIT_OK: 0, EXIT_DATA: 1, EXIT_CONFIG: 2}
 
 
 @dataclass(frozen=True)
@@ -47,22 +52,54 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.target_rate <= 0.0:
-            raise ConfigError(f"rate must be positive, got {self.target_rate}")
+        if not (math.isfinite(self.target_rate) and self.target_rate > 0.0):
+            raise ConfigError(
+                f"rate must be a positive finite number, got {self.target_rate}"
+            )
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
-def _build_anatomy(spec: SpeakerSpec) -> SpeakerAnatomy:
-    palate = parse_trace_file(spec.palate_path, "palate")
-    wall = parse_trace_file(spec.posterior_wall_path, "wall")
-    return build_speaker_anatomy(
-        spec.speaker_id,
-        palate,
-        wall,
-        spec.sex,
-        thickness_mm=spec.thickness_mm,
-    )
+def _write_text(path: Path, text: str) -> None:
+    with open_atomic(path) as fh:
+        fh.write(text)
+
+
+def _load_speakers(manifest_path: Path) -> list[SpeakerSpec] | None:
+    try:
+        return load_manifest(manifest_path)
+    except (OSError, ConfigError) as exc:
+        logger.error("cannot load manifest: %s", exc)
+        return None
+
+
+def _prepare_speaker(
+    spec: SpeakerSpec, output_dir: Path, svg: bool
+) -> tuple[SpeakerAnatomy | None, int]:
+    """Derive and write one speaker's anatomy (JSON, and SVG if asked).
+
+    Returns the anatomy, or None with the exit code its failure forces.
+    """
+    try:
+        palate = parse_trace_file(spec.palate_path, "palate")
+        wall = parse_trace_file(spec.posterior_wall_path, "wall")
+        anat = build_speaker_anatomy(
+            spec.speaker_id,
+            palate,
+            wall,
+            spec.sex,
+            thickness_mm=spec.thickness_mm,
+        )
+    except OSError as exc:
+        logger.error("speaker %s: cannot read traces: %s", spec.speaker_id, exc)
+        return None, EXIT_CONFIG
+    except DataError as exc:
+        logger.error("speaker %s: anatomy failed: %s", spec.speaker_id, exc)
+        return None, EXIT_DATA
+    write_anatomy_json(anat, output_dir / f"{spec.speaker_id}.anatomy.json")
+    if svg:
+        _write_text(output_dir / f"{spec.speaker_id}.anatomy.svg", anatomy_svg(anat))
+    return anat, EXIT_OK
 
 
 def _process_utterance(
@@ -71,7 +108,6 @@ def _process_utterance(
     utterance_path: Path,
     config: RunConfig,
 ) -> Path:
-    report = IngestReport()
     trajectory, report = parse_pellet_file(
         utterance_path, speaker_id=spec.speaker_id
     )
@@ -82,17 +118,38 @@ def _process_utterance(
     out_csv = config.output_dir / f"{utterance_path.stem}.tv.csv"
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
-        svg_path = config.output_dir / f"{utterance_path.stem}.tvs.svg"
-        svg_path.write_text(tv_svg(tvs, degrees=config.degrees), encoding="utf-8")
+        _write_text(
+            config.output_dir / f"{utterance_path.stem}.tvs.svg",
+            tv_svg(tvs, degrees=config.degrees),
+        )
     logger.info(
         "%s/%s: %d frames in, %d out, %d mistracked",
         spec.speaker_id,
         utterance_path.stem,
         report.frames_read,
-        len(tvs.frames),
+        len(tvs),
         report.frames_mistracked,
     )
     return out_csv
+
+
+def _attempt_utterance(
+    spec: SpeakerSpec,
+    anat: SpeakerAnatomy,
+    utterance_path: Path,
+    config: RunConfig,
+) -> int:
+    """Process one utterance; EXIT_OK on success, else the code that
+    names what went wrong."""
+    try:
+        _process_utterance(spec, anat, utterance_path, config)
+    except OSError as exc:
+        logger.error("utterance %s: %s", utterance_path, exc)
+        return EXIT_CONFIG
+    except DataError as exc:
+        logger.error("utterance %s: %s", utterance_path, exc)
+        return EXIT_DATA
+    return EXIT_OK
 
 
 def run_pipeline(config: RunConfig) -> int:
@@ -103,84 +160,52 @@ def run_pipeline(config: RunConfig) -> int:
     skipped; they only force a nonzero exit when every utterance failed.
     Exit codes: 0 success, 1 configuration or I/O trouble, 2 bad data.
     """
-    try:
-        speakers = load_manifest(config.manifest_path)
-    except (OSError, ConfigError) as exc:
-        logger.error("cannot load manifest: %s", exc)
+    speakers = _load_speakers(config.manifest_path)
+    if speakers is None:
         return EXIT_CONFIG
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
-    saw_config_error = False
-    saw_data_error = False
-    utterances_total = 0
-    utterances_failed = 0
+    codes = [EXIT_OK]
+    outcomes: list[int] = []
+    pending: list[Future] = []
+    pool = (
+        ThreadPoolExecutor(max_workers=config.parallelism)
+        if config.parallelism > 1
+        else None
+    )
+    try:
+        for spec in speakers:
+            anat, code = _prepare_speaker(spec, config.output_dir, config.plots)
+            codes.append(code)
+            if anat is None:
+                continue
+            for path in spec.utterance_paths:
+                if pool is None:
+                    outcomes.append(_attempt_utterance(spec, anat, path, config))
+                else:
+                    pending.append(
+                        pool.submit(_attempt_utterance, spec, anat, path, config)
+                    )
+        outcomes.extend(future.result() for future in pending)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
-    for spec in speakers:
-        try:
-            anat = _build_anatomy(spec)
-        except OSError as exc:
-            logger.error("speaker %s: cannot read traces: %s", spec.speaker_id, exc)
-            saw_config_error = True
-            continue
-        except DataError as exc:
-            logger.error("speaker %s: anatomy failed: %s", spec.speaker_id, exc)
-            saw_data_error = True
-            continue
-        write_anatomy_json(
-            anat, config.output_dir / f"{spec.speaker_id}.anatomy.json"
-        )
-        if config.plots:
-            svg_path = config.output_dir / f"{spec.speaker_id}.anatomy.svg"
-            svg_path.write_text(anatomy_svg(anat), encoding="utf-8")
-
-        utterances_total += len(spec.utterance_paths)
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [
-                (path, pool.submit(_process_utterance, spec, anat, path, config))
-                for path in spec.utterance_paths
-            ]
-            for path, future in futures:
-                try:
-                    future.result()
-                except OSError as exc:
-                    logger.error("utterance %s: %s", path, exc)
-                    saw_config_error = True
-                    utterances_failed += 1
-                except DataError as exc:
-                    logger.error("utterance %s: %s", path, exc)
-                    utterances_failed += 1
-
-    if saw_config_error:
-        return EXIT_CONFIG
-    if saw_data_error:
-        return EXIT_DATA
-    if utterances_total and utterances_failed == utterances_total:
-        return EXIT_DATA
-    return EXIT_OK
+    # A failed utterance only fails the run through I/O trouble, or when
+    # no utterance succeeded at all.
+    if EXIT_CONFIG in outcomes:
+        codes.append(EXIT_CONFIG)
+    if outcomes and EXIT_OK not in outcomes:
+        codes.append(EXIT_DATA)
+    return max(codes, key=_SEVERITY.__getitem__)
 
 
 def run_anatomy_only(manifest_path: Path, output_dir: Path) -> int:
     """Derive and write anatomy (JSON plus figure) without utterances."""
-    try:
-        speakers = load_manifest(manifest_path)
-    except (OSError, ConfigError) as exc:
-        logger.error("cannot load manifest: %s", exc)
+    speakers = _load_speakers(manifest_path)
+    if speakers is None:
         return EXIT_CONFIG
     output_dir.mkdir(parents=True, exist_ok=True)
-    code = EXIT_OK
-    for spec in speakers:
-        try:
-            anat = _build_anatomy(spec)
-        except OSError as exc:
-            logger.error("speaker %s: cannot read traces: %s", spec.speaker_id, exc)
-            code = EXIT_CONFIG
-            continue
-        except DataError as exc:
-            logger.error("speaker %s: anatomy failed: %s", spec.speaker_id, exc)
-            if code == EXIT_OK:
-                code = EXIT_DATA
-            continue
-        write_anatomy_json(anat, output_dir / f"{spec.speaker_id}.anatomy.json")
-        svg_path = output_dir / f"{spec.speaker_id}.anatomy.svg"
-        svg_path.write_text(anatomy_svg(anat), encoding="utf-8")
-    return code
+    codes = [EXIT_OK]
+    codes.extend(_prepare_speaker(spec, output_dir, svg=True)[1] for spec in speakers)
+    return max(codes, key=_SEVERITY.__getitem__)

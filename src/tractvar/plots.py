@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .anatomy import SpeakerAnatomy
 from .tract_variables import TvTrajectory
-from .tvcsv import ANGLE_NAMES, TV_NAMES, _FIELD_BY_NAME
+from .tvcsv import ANGLE_NAMES, TV_NAMES
 
 _ANATOMY_SIZE = (640, 520)
 _TV_SIZE = (800, 96)
@@ -93,10 +92,10 @@ def tv_svg(trajectory: TvTrajectory, degrees: bool = False) -> str:
     w, panel_h = _TV_SIZE
     n_panels = len(TV_NAMES)
     h = panel_h * n_panels
-    frames = trajectory.frames
-    if frames:
-        t0 = frames[0].t
-        t1 = frames[-1].t
+    times = trajectory.t.tolist()
+    if times:
+        t0 = times[0]
+        t1 = times[-1]
     else:
         t0, t1 = 0.0, 1.0
     span_t = (t1 - t0) or 1.0
@@ -109,14 +108,10 @@ def tv_svg(trajectory: TvTrajectory, degrees: bool = False) -> str:
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
     for idx, name in enumerate(TV_NAMES):
-        field = _FIELD_BY_NAME[name]
-        values: list[float | None] = []
-        for frame in frames:
-            v = getattr(frame, field)
-            if v is not None and degrees and name in ANGLE_NAMES:
-                v = math.degrees(v)
-            values.append(v)
-        present = [v for v in values if v is not None]
+        values = trajectory.values[:, idx].tolist()
+        if degrees and name in ANGLE_NAMES:
+            values = [math.degrees(v) for v in values]
+        present = [v for v in values if v == v]
         lo = min(present) if present else 0.0
         hi = max(present) if present else 1.0
         if hi == lo:
@@ -140,13 +135,13 @@ def tv_svg(trajectory: TvTrajectory, degrees: bool = False) -> str:
         )
         run: list[tuple[float, float]] = []
         runs: list[list[tuple[float, float]]] = []
-        for frame, v in zip(frames, values):
-            if v is None:
+        for t, v in zip(times, values):
+            if v != v:
                 if run:
                     runs.append(run)
                     run = []
                 continue
-            run.append((x_of(frame.t), y_of(v)))
+            run.append((x_of(t), y_of(v)))
         if run:
             runs.append(run)
         for run in runs:
@@ -162,18 +157,3 @@ def tv_svg(trajectory: TvTrajectory, degrees: bool = False) -> str:
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def emit_plots(
-    anat: SpeakerAnatomy,
-    trajectory: TvTrajectory,
-    output_dir: str | Path,
-    degrees: bool = False,
-) -> tuple[Path, Path]:
-    """Write anatomy.svg and tvs.svg into a directory."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    anatomy_path = out / "anatomy.svg"
-    tv_path = out / "tvs.svg"
-    anatomy_path.write_text(anatomy_svg(anat), encoding="utf-8")
-    tv_path.write_text(tv_svg(trajectory, degrees=degrees), encoding="utf-8")
-    return anatomy_path, tv_path

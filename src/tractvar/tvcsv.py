@@ -5,6 +5,9 @@ whose quality is not Ok leave their absent variables as empty cells.
 Values are written with shortest round-trip repr so files re-read
 bit-exactly.  Angles are stored in radians unless a writer is asked for
 degrees; readers do not convert.
+
+Every writer here replaces its target atomically: an interrupted or
+failed write leaves either the old file or none, never a truncated one.
 """
 
 from __future__ import annotations
@@ -12,52 +15,56 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from .anatomy import SpeakerAnatomy
 from .errors import ParseError, SchemaError
 from .geometry import Polyline
-from .tract_variables import Quality, TractVariableFrame, TvTrajectory
+from .tract_variables import QUALITIES, TV_NAMES, TvTrajectory
 
-TV_HEADER = ("t", "LA", "LP", "TBCL", "TBCD", "TTCL", "TTCD", "quality")
-TV_NAMES = ("LA", "LP", "TBCL", "TBCD", "TTCL", "TTCD")
+TV_HEADER = ("t", *TV_NAMES, "quality")
 ANGLE_NAMES = frozenset(("TBCL", "TTCL"))
 
-_FIELD_BY_NAME = {
-    "LA": "la",
-    "LP": "lp",
-    "TBCL": "tbcl",
-    "TBCD": "tbcd",
-    "TTCL": "ttcl",
-    "TTCD": "ttcd",
-}
 
+@contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open `path` for writing text through a temporary file beside it.
 
-def _format_value(value: float | None, name: str, degrees: bool) -> str:
-    if value is None:
-        return ""
-    if degrees and name in ANGLE_NAMES:
-        value = math.degrees(value)
-    return repr(value)
+    The temporary file replaces `path` only when the block completes; if
+    the block raises, it is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_tv_csv(
     trajectory: TvTrajectory, path: str | Path, degrees: bool = False
 ) -> None:
     """Write one utterance's tract variables."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TV_HEADER)
-        for frame in trajectory.frames:
-            row = [repr(frame.t)]
-            for name in TV_NAMES:
-                row.append(
-                    _format_value(getattr(frame, _FIELD_BY_NAME[name]), name, degrees)
-                )
-            row.append(frame.quality.value)
-            writer.writerow(row)
+    columns = trajectory.values.T.tolist()
+    if degrees:
+        for k, name in enumerate(TV_NAMES):
+            if name in ANGLE_NAMES:
+                columns[k] = [math.degrees(v) for v in columns[k]]
+    labels = [q.value for q in QUALITIES]
+    rows = zip(trajectory.t.tolist(), *columns, trajectory.quality.tolist())
+    with open_atomic(path, newline="") as fh:
+        fh.write(",".join(TV_HEADER) + "\r\n")
+        for t, *values, quality in rows:
+            cells = [repr(v) if v == v else "" for v in values]
+            fh.write(f"{t!r},{','.join(cells)},{labels[quality]}\r\n")
 
 
 def read_tv_csv(
@@ -105,30 +112,6 @@ def read_tv_csv(
     return np.array(times, dtype=np.float64), columns, quality
 
 
-def frames_from_csv(path: str | Path) -> TvTrajectory:
-    """Rebuild a TvTrajectory from a TV file written in radians."""
-    times, columns, quality = read_tv_csv(path)
-    frames = []
-    for i, t in enumerate(times):
-        frames.append(
-            TractVariableFrame(
-                t=float(t),
-                la=columns["LA"][i],
-                lp=columns["LP"][i],
-                tbcl=columns["TBCL"][i],
-                tbcd=columns["TBCD"][i],
-                ttcl=columns["TTCL"][i],
-                ttcd=columns["TTCD"][i],
-                quality=Quality(quality[i]),
-            )
-        )
-    if len(times) >= 2:
-        rate = (len(times) - 1) / float(times[-1] - times[0])
-    else:
-        rate = 145.0
-    return TvTrajectory(speaker_id="", frames=tuple(frames), sample_rate=rate)
-
-
 def _trace_to_list(trace: Polyline) -> list[list[float]]:
     return [[p.x, p.y] for p in trace.points]
 
@@ -145,6 +128,6 @@ def write_anatomy_json(anat: SpeakerAnatomy, path: str | Path) -> None:
         "extended_palate": _trace_to_list(anat.extended_palate),
         "reference_center": [anat.reference_center.x, anat.reference_center.y],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -30,6 +30,7 @@ from tractvar.ingest import PelletTrajectory, resample
 from tractvar.tract_variables import (
     PELLET_NAMES,
     PelletFrame,
+    TvTrajectory,
     compute_trajectory,
 )
 from tractvar.tvcsv import TV_NAMES, read_tv_csv, write_tv_csv
@@ -64,7 +65,7 @@ def tv_file_from_frames(path, n=40, negate=None):
             dataclasses.replace(f, **{negate: -getattr(f, negate)})
             for f in tvs.frames
         )
-        tvs = dataclasses.replace(tvs, frames=flipped)
+        tvs = TvTrajectory(tvs.speaker_id, flipped, tvs.sample_rate)
     write_tv_csv(tvs, path)
     return path
 

@@ -1,12 +1,18 @@
 """End-to-end command line tests over the synthetic speaker fixture."""
 
 import json
+import logging
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from tractvar import pipeline
 from tractvar.cli import main
-from tractvar.tvcsv import read_tv_csv
+from tractvar.tract_variables import TvTrajectory
+from tractvar.tvcsv import open_atomic, read_tv_csv, write_tv_csv
 
 from helpers import (
     ANGLE_TOL,
@@ -210,6 +216,139 @@ class TestRun:
         for u in range(3):
             name = f"utt{u:02d}.tv.csv"
             assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+
+
+class TestRunRejectsBadConfig:
+    @staticmethod
+    def assert_one_line_error(caplog, needle):
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert needle in errors[0] and "\n" not in errors[0]
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate(self, tmp_path, caplog, rate):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        rc = run_cli(
+            "run", "--manifest", manifest, "--out", tmp_path / "out", "--rate", rate
+        )
+        assert rc == 1
+        self.assert_one_line_error(caplog, "rate must be a positive finite number")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "1e400", "true"])
+    def test_non_finite_or_boolean_thickness(self, tmp_path, caplog, literal):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        entry = json.loads(manifest.read_text())
+        entry["thickness_mm"] = 0.5
+        manifest.write_text(json.dumps(entry).replace("0.5", literal))
+        for command in ("run", "anatomy"):
+            caplog.clear()
+            rc = run_cli(command, "--manifest", manifest, "--out", tmp_path / command)
+            assert rc == 1
+            self.assert_one_line_error(caplog, "thickness_mm")
+
+    def test_shared_utterance_stem(self, tmp_path, caplog):
+        # Two speakers that both list utt00.csv would write one utt00.tv.csv.
+        root = tmp_path / "data"
+        write_speaker_fixture(root / "a", n_frames=30, speaker_id="a")
+        write_speaker_fixture(root / "b", n_frames=50, speaker_id="b")
+        entries = [
+            {
+                "speaker_id": s,
+                "sex": "F",
+                "palate": f"{s}/palate.csv",
+                "posterior_wall": f"{s}/wall.csv",
+                "utterances": [f"{s}/utt00.csv"],
+            }
+            for s in ("a", "b")
+        ]
+        manifest = write_manifest(root, entries)
+        out = tmp_path / "out"
+        assert run_cli("run", "--manifest", manifest, "--out", out) == 1
+        self.assert_one_line_error(caplog, "share the file stem 'utt00'")
+        assert not (out / "utt00.tv.csv").exists()
+
+
+class TestExecutor:
+    @staticmethod
+    def two_speaker_manifest(root):
+        """Two speakers over one fixture, two utterances each."""
+        write_speaker_fixture(root, n_utterances=4, constant=False)
+        return write_manifest(
+            root,
+            [
+                {
+                    "speaker_id": s,
+                    "sex": "F",
+                    "palate": "palate.csv",
+                    "posterior_wall": "wall.csv",
+                    "utterances": [f"utt{u:02d}.csv" for u in utts],
+                }
+                for s, utts in (("a", (0, 1)), ("b", (2, 3)))
+            ],
+        )
+
+    def test_serial_in_caller_thread_parallel_in_one_pool(self, tmp_path, monkeypatch):
+        threads = []
+        real_compute = pipeline.compute_trajectory
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real_compute(*args, **kwargs)
+
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_trajectory", spy)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+
+        assert run_cli("run", "--manifest", manifest, "--out", tmp_path / "p1") == 0
+        assert threads == [threading.get_ident()] * 4
+        assert pools == []
+
+        threads.clear()
+        assert run_cli(
+            "run", "--manifest", manifest, "--out", tmp_path / "p2",
+            "--parallelism", 2,
+        ) == 0
+        assert len(threads) == 4 and threading.get_ident() not in threads
+        assert len(pools) == 1
+        for u in range(4):
+            name = f"utt{u:02d}.tv.csv"
+            assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+
+class TestAtomicOutputs:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        target = tmp_path / "utt.tv.csv"
+        with pytest.raises(RuntimeError):
+            with open_atomic(target) as fh:
+                fh.write("t,LA\n0.0,")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "utt.tv.csv"
+        target.write_text("previous\n")
+        # A quality code with no label fails the writer on its last row,
+        # after the earlier rows went out.
+        n = 2000
+        tvs = TvTrajectory.from_columns(
+            "s",
+            np.arange(n) / 145.0,
+            np.ones((n, 6)),
+            np.array([0] * (n - 1) + [99], dtype=np.int8),
+            145.0,
+        )
+        with pytest.raises(IndexError):
+            write_tv_csv(tvs, target)
+        assert target.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestCompare:

@@ -127,6 +127,40 @@ class TestParsePelletFile:
         assert excinfo.value.line == 4
         assert excinfo.value.column == "t"
 
+    @pytest.mark.parametrize(
+        "faults, line, column, message",
+        [
+            # A non-finite cell, found after the parsing pass, outranks an
+            # unparseable cell further down, found during it.
+            ([(2, 3, "inf"), (4, 5, "oops")], 3, "LLx", "non-finite value 'inf'"),
+            ([(2, 0, "1e400"), (3, None, None)], 3, "t", "non-finite value '1e400'"),
+            ([(4, 7, "nan"), (2, 9, "oops")], 3, "T3x", "cannot parse 'oops'"),
+            # Within a row, the first bad cell in column order wins.
+            ([(3, 16, "x"), (3, 2, "-inf")], 4, "ULy", "non-finite value '-inf'"),
+            ([(3, 0, "0.0"), (5, 4, "inf")], 4, "t", "does not increase past"),
+        ],
+    )
+    def test_first_bad_cell_in_file_order_wins(
+        self, tmp_path, faults, line, column, message
+    ):
+        # Each fault is (row index after the header, field index, token);
+        # a field of None truncates the row.
+        path = tmp_path / "bad.csv"
+        write_pellet_csv(path, pellet_rows(6))
+        lines = path.read_text().splitlines()
+        for row, field, token in faults:
+            if field is None:
+                lines[row] = lines[row].rsplit(",", 1)[0]
+                continue
+            fields = lines[row].split(",")
+            fields[field] = token
+            lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            parse_pellet_file(path)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+        assert message in str(excinfo.value)
+
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_pellet_csv(path, pellet_rows(3))
@@ -478,7 +512,10 @@ class TestLoadManifest:
         )
 
     def test_list_of_speakers(self, tmp_path):
-        payload = [self.entry(), self.entry(speaker_id="jw12", sex="M")]
+        payload = [
+            self.entry(),
+            self.entry(speaker_id="jw12", sex="M", utterances=["utt/tp205.csv"]),
+        ]
         specs = load_manifest(self.write(tmp_path, payload))
         assert [s.speaker_id for s in specs] == ["jw11", "jw12"]
         assert specs[1].sex is Sex.MALE
@@ -501,6 +538,36 @@ class TestLoadManifest:
         for bad in (0, -2.5, "thin"):
             with pytest.raises(ConfigError, match="thickness"):
                 load_manifest(self.write(tmp_path, self.entry(thickness_mm=bad)))
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "1e400", "true", "1" + "0" * 400],
+        ids=["nan", "infinity", "overflow", "bool", "huge-int"],
+    )
+    def test_non_finite_or_boolean_thickness(self, tmp_path, literal):
+        path = tmp_path / "manifest.json"
+        text = json.dumps(self.entry(thickness_mm=0.5)).replace("0.5", literal)
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="thickness_mm must be a positive finite"):
+            load_manifest(path)
+
+    def test_shared_utterance_stem_rejected(self, tmp_path):
+        payload = [
+            self.entry(utterances=["a/utt00.csv"]),
+            self.entry(speaker_id="jw12", utterances=["b/utt00.csv"]),
+        ]
+        with pytest.raises(ConfigError, match="share the file stem 'utt00'"):
+            load_manifest(self.write(tmp_path, payload))
+
+    def test_utterance_listed_twice_rejected(self, tmp_path):
+        entry = self.entry(utterances=["utt/tp105.csv", "utt/tp105.csv"])
+        with pytest.raises(ConfigError, match="tp105"):
+            load_manifest(self.write(tmp_path, entry))
+
+    def test_shared_speaker_id_rejected(self, tmp_path):
+        payload = [self.entry(), self.entry(utterances=["utt/tp205.csv"])]
+        with pytest.raises(ConfigError, match="speaker_id 'jw11' is listed twice"):
+            load_manifest(self.write(tmp_path, payload))
 
     def test_empty_speaker_id(self, tmp_path):
         with pytest.raises(ConfigError, match="speaker_id"):

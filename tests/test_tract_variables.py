@@ -1,8 +1,11 @@
 """Per-frame tract variables against the analytic synthetic speaker."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     ANGLE_TOL,
@@ -16,9 +19,16 @@ from helpers import (
     synthetic_anatomy,
     wobbled_pellets,
 )
-from tractvar.errors import CollinearPoints
-from tractvar.geometry import Point2D, point_polyline_clearance
+from tractvar.errors import CollinearPoints, DegenerateAngle
+from tractvar.geometry import (
+    Point2D,
+    Polyline,
+    angle_from_reference,
+    point_polyline_clearance,
+)
+from tractvar.ingest import PelletTrajectory
 from tractvar.tract_variables import (
+    PELLET_NAMES,
     PelletFrame,
     Quality,
     TractVariableFrame,
@@ -263,3 +273,148 @@ class TestTrajectory:
         assert tv_a.la == tv_b.la
         assert tv_a.tbcd == tv_b.tbcd
         assert tv_a.tbcl == tv_b.tbcl
+
+
+def trajectory_of(frames, rate=145.0):
+    return PelletTrajectory(
+        speaker_id="synth", utterance_id="u", frames=tuple(frames), native_rate=rate
+    )
+
+
+def assert_matches_scalar(traj, anat, options=TvOptions()):
+    """The batched frames equal the scalar reference's, bit for bit (repr
+    tells every double apart, including -0.0 from 0.0)."""
+    batched = compute_trajectory(traj, anat, options).frames
+    scalar = [compute_frame(f, anat, options) for f in traj.frames]
+    assert [repr(f) for f in batched] == [repr(f) for f in scalar]
+    return batched
+
+
+def collinear_tongue(coords, slope=0.0):
+    coords = dict(coords)
+    for k, name in enumerate(("T2", "T3", "T4")):
+        x = -20.0 - 5.0 * k
+        coords[name] = (x, 10.0 + slope * x)
+    return coords
+
+
+def penetrating_tongue(coords):
+    coords = dict(coords)
+    cx, cy = on_arc(20.25, radius=25.0)
+    coords["T2"] = (cx + 15.0, cy)
+    coords["T3"] = (cx, cy - 15.0)
+    coords["T4"] = (cx - 15.0, cy)
+    return coords
+
+
+class TestBatchedMatchesScalar:
+    def test_criterion_5_fixture(self, anatomy):
+        # Enough varied postures that a one-ulp difference, such as
+        # np.hypot against math.hypot, shows on some of them.
+        frames = [make_frame(k / 145.0) for k in range(30)]
+        frames += [
+            make_frame((30 + k) / 145.0, wobbled_pellets(0.2 * k, amp=0.5 + k % 7 / 3.0))
+            for k in range(1500)
+        ]
+        assert_matches_scalar(trajectory_of(frames), anatomy)
+
+    def test_random_postures(self, anatomy):
+        # Tongue shapes that vary frame to frame, so the circle radius and
+        # contact angle take many values.
+        rng = np.random.default_rng(5)
+        frames = []
+        for k in range(2000):
+            coords = dict(reference_pellets())
+            for name in ("T1", "T2", "T3", "T4"):
+                x, y = coords[name]
+                coords[name] = (x + rng.uniform(-6.0, 6.0), y + rng.uniform(-6.0, 6.0))
+            frames.append(make_frame(k / 145.0, coords))
+        assert_matches_scalar(trajectory_of(frames), anatomy)
+
+    def test_collinear_tie_keeps_first_pellet(self, anatomy):
+        # T2, T3 and T4 all sit exactly 10 mm below a flat palate.
+        flat = dataclasses.replace(
+            anatomy,
+            extended_palate=Polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
+        )
+        coords = collinear_tongue(reference_pellets())
+        batched = assert_matches_scalar(trajectory_of([make_frame(0.0, coords)]), flat)
+        t2 = Point2D(*coords["T2"])
+        assert batched[0].tbcd == 10.0
+        assert batched[0].tbcl == angle_from_reference(flat.reference_center, t2)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_dirty_mix(self, anatomy, clamp):
+        frames = []
+        for k in range(120):
+            coords = wobbled_pellets(0.37 * k, amp=1.5)
+            invalid = set()
+            if k % 7 == 3:
+                invalid = {PELLET_NAMES[k % len(PELLET_NAMES)]}
+                for name in invalid:
+                    coords[name] = (1e6, 1e6)
+            if k % 11 == 5:
+                invalid |= {"T2", "UL"}
+            if k % 5 == 1:
+                coords = collinear_tongue(coords, slope=0.01 * (k % 3))
+            elif k % 5 == 2:
+                coords = penetrating_tongue(coords)
+            frames.append(make_frame(k / 145.0, coords, invalid=invalid))
+        batched = assert_matches_scalar(
+            trajectory_of(frames), anatomy, TvOptions(clamp_tbcd=clamp)
+        )
+        qualities = {f.quality for f in batched}
+        assert qualities == set(Quality)
+        tbcds = [f.tbcd for f in batched if f.tbcd is not None]
+        assert (min(tbcds) == 0.0) if clamp else (min(tbcds) < 0.0)
+
+    def test_failing_frame_raises_the_scalar_error(self, anatomy):
+        center = anatomy.reference_center
+        coords = dict(reference_pellets())
+        coords["T1"] = (center.x, center.y)
+        frames = [make_frame(k / 145.0) for k in range(5)]
+        frames[3] = make_frame(3 / 145.0, coords)
+        with pytest.raises(DegenerateAngle) as scalar:
+            compute_frame(frames[3], anatomy)
+        with pytest.raises(DegenerateAngle) as batched:
+            compute_trajectory(trajectory_of(frames), anatomy)
+        assert str(batched.value) == str(scalar.value)
+
+
+coordinate = st.floats(-60.0, 20.0, allow_nan=False)
+pellet_frames = st.lists(
+    st.tuples(
+        st.lists(st.tuples(coordinate, coordinate), min_size=8, max_size=8),
+        st.sets(st.sampled_from(PELLET_NAMES), max_size=3),
+        st.sampled_from(["free", "collinear", "penetrating"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestBatchedProperties:
+    @staticmethod
+    def build(rows):
+        frames = []
+        for k, (points, invalid, shape) in enumerate(rows):
+            coords = dict(zip(PELLET_NAMES, points))
+            if shape == "collinear":
+                coords = collinear_tongue(coords, slope=points[0][0] / 100.0)
+            elif shape == "penetrating":
+                coords = penetrating_tongue(coords)
+            frames.append(make_frame(k / 145.0, coords, invalid=invalid))
+        return trajectory_of(frames)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rows=pellet_frames, clamp=st.booleans())
+    def test_batched_equals_scalar(self, anatomy, rows, clamp):
+        assert_matches_scalar(self.build(rows), anatomy, TvOptions(clamp_tbcd=clamp))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(rows=pellet_frames)
+    def test_angles_half_open(self, anatomy, rows):
+        tvs = compute_trajectory(self.build(rows), anatomy)
+        for frame in tvs.frames:
+            for angle in (frame.tbcl, frame.ttcl):
+                assert angle is None or -math.pi < angle <= math.pi
