@@ -31,6 +31,7 @@ from .pipeline import (
     run_anatomy_only,
     run_pipeline,
 )
+from .tvcsv import open_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +103,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = compare_tvs(args.file_a, args.file_b)
     print(format_table(report))
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with open_atomic(args.json) as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return EXIT_OK

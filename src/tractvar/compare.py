@@ -6,8 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, TimebaseMismatch, ZeroVariance
+from .errors import DataError, LengthMismatch, TimebaseMismatch, ZeroVariance
+from .tract_variables import QUALITIES, Quality
 from .tvcsv import TV_NAMES, read_tv_csv
+
+_OK = QUALITIES.index(Quality.OK)
 
 # Two frames count as simultaneous when their stamps agree this closely.
 _TIME_TOL_S = 1e-6
@@ -18,8 +21,8 @@ def ppmc(a, b) -> float:
 
     The result is clamped onto [-1, 1]; floating-point overshoot beyond
     that never exceeds ~1e-16 for centered sums.  Raises LengthMismatch
-    for unequal or too-short series and ZeroVariance when either side is
-    constant.
+    for unequal or too-short series, DataError when either side holds a
+    NaN or infinity, and ZeroVariance when either side is constant.
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
@@ -27,6 +30,8 @@ def ppmc(a, b) -> float:
         raise LengthMismatch(f"series lengths differ: {x.shape[0]} vs {y.shape[0]}")
     if x.ndim != 1 or x.shape[0] < 2:
         raise LengthMismatch(f"need at least 2 samples, got {x.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("correlation undefined for a series with non-finite samples")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
@@ -61,8 +66,8 @@ def compare_tvs(path_a, path_b) -> ComparisonReport:
     excluded pairwise before correlating.  The summary score is the
     arithmetic mean of the six correlations.
     """
-    times_a, cols_a, quality_a = read_tv_csv(path_a)
-    times_b, cols_b, quality_b = read_tv_csv(path_b)
+    times_a, values_a, quality_a = read_tv_csv(path_a)
+    times_b, values_b, quality_b = read_tv_csv(path_b)
     if len(times_a) != len(times_b):
         raise LengthMismatch(
             f"frame counts differ: {len(times_a)} vs {len(times_b)}"
@@ -71,21 +76,15 @@ def compare_tvs(path_a, path_b) -> ComparisonReport:
         worst = int(np.argmax(np.abs(times_a - times_b)))
         raise TimebaseMismatch(
             f"timestamps disagree at frame {worst}: "
-            f"{times_a[worst]!r} vs {times_b[worst]!r}"
+            f"{float(times_a[worst])!r} vs {float(times_b[worst])!r}"
         )
-    included = [
-        i
-        for i in range(len(times_a))
-        if quality_a[i] == "Ok" and quality_b[i] == "Ok"
-    ]
-    scores: dict[str, float] = {}
-    for name in TV_NAMES:
-        series_a = [cols_a[name][i] for i in included]
-        series_b = [cols_b[name][i] for i in included]
-        scores[name] = ppmc(series_a, series_b)
+    ok = (quality_a == _OK) & (quality_b == _OK)
+    a = values_a[ok]
+    b = values_b[ok]
+    scores = {name: ppmc(a[:, k], b[:, k]) for k, name in enumerate(TV_NAMES)}
     average = sum(scores.values()) / len(scores)
     return ComparisonReport(
-        scores=scores, average=average, n_frames_compared=len(included)
+        scores=scores, average=average, n_frames_compared=len(a)
     )
 
 

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .geometry import Point2D, Polyline
 from .tract_variables import PELLET_NAMES, PelletFrame
+from .tvcsv import open_text, parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -161,23 +162,12 @@ class IngestReport:
     pellets_interpolated: int = 0
 
 
-def _parse_float(token: str, path: Path, line: int, column: str) -> float:
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise ParseError(
-            f"cannot parse {token!r} as a number", path, line, column
-        ) from exc
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite value {token!r}", path, line, column)
-    return value
-
-
 def _raise_first_bad_cell(path: Path) -> None:
     """Check a pellet file cell by cell, in file order, and raise the
     ParseError for the first bad one: a row of the wrong width, a cell
-    that is not a finite number, or a time that does not increase."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    that is not a finite number, or a time that does not increase.  Text
+    that is not UTF-8 raises ParseError too."""
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         prev_t = None
@@ -190,7 +180,7 @@ def _raise_first_bad_cell(path: Path) -> None:
                     path,
                     line_no,
                 )
-            t = _parse_float(row[0], path, line_no, "t")
+            t = parse_float(row[0], path, line_no, "t")
             if prev_t is not None and t <= prev_t:
                 raise ParseError(
                     f"timestamp {t!r} does not increase past {prev_t!r}",
@@ -200,7 +190,7 @@ def _raise_first_bad_cell(path: Path) -> None:
                 )
             prev_t = t
             for column, token in zip(PELLET_HEADER[1:], row[1:]):
-                _parse_float(token, path, line_no, column)
+                parse_float(token, path, line_no, column)
 
 
 def parse_pellet_file(
@@ -214,12 +204,12 @@ def parse_pellet_file(
 
     Returns the trajectory plus an ingest report.  Raises SchemaError for
     a bad header and ParseError for malformed rows, non-finite values,
-    non-monotone time, or fewer than two rows.
+    non-monotone time, fewer than two rows, or text that is not UTF-8.
     """
     path = Path(path)
     width = len(PELLET_HEADER)
     cells = array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -292,7 +282,7 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
     path = Path(path)
     points: list[Point2D] = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -305,8 +295,8 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
                 continue
             if len(row) != 2:
                 raise ParseError(f"expected 2 fields, got {len(row)}", path, line_no)
-            x = _parse_float(row[0], path, line_no, "x")
-            y = _parse_float(row[1], path, line_no, "y")
+            x = parse_float(row[0], path, line_no, "x")
+            y = parse_float(row[1], path, line_no, "y")
             p = Point2D(x, y)
             if points and points[-1] == p:
                 dropped += 1
@@ -492,6 +482,8 @@ def load_manifest(path: str | Path) -> list[SpeakerSpec]:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     base = path.parent
     entries = data if isinstance(data, list) else [data]
     if not entries:

@@ -8,6 +8,9 @@ degrees; readers do not convert.
 
 Every writer here replaces its target atomically: an interrupted or
 failed write leaves either the old file or none, never a truncated one.
+The TV reader rejects a malformed file with a ParseError naming its
+line and column; `open_text` and `parse_float` give the pellet and
+trace readers the same UTF-8 and cell checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .anatomy import SpeakerAnatomy
 from .errors import ParseError, SchemaError
 from .geometry import Polyline
-from .tract_variables import QUALITIES, TV_NAMES, TvTrajectory
+from .tract_variables import QUALITIES, TV_NAMES, Quality, TvTrajectory
 
 TV_HEADER = ("t", *TV_NAMES, "quality")
 ANGLE_NAMES = frozenset(("TBCL", "TTCL"))
@@ -67,18 +70,118 @@ def write_tv_csv(
             fh.write(f"{t!r},{','.join(cells)},{labels[quality]}\r\n")
 
 
-def read_tv_csv(
-    path: str | Path,
-) -> tuple[np.ndarray, dict[str, list[float | None]], list[str]]:
-    """Read a TV file into (times, column values, quality strings).
+_LABEL_CODE = {q.value: k for k, q in enumerate(QUALITIES)}
+_OK = QUALITIES.index(Quality.OK)
+_TV_HEADER_LINE = ",".join(TV_HEADER).encode()
+# The fast TV reader parses only bodies spelled from these bytes: digits,
+# signs, points, commas, line ends, the `e` of exponents and the letters
+# of the quality labels.  On them `str.splitlines` and `np.loadtxt` split
+# rows and cells as `csv` does and convert cells with the same
+# decimal-to-double routine as `float`.  Elsewhere they differ (loadtxt
+# reads `1.5\x1f`, which `float` rejects), so quotes, padding, underscores,
+# control characters and non-ASCII text go to the per-cell reader.
+_FAST_TV_BYTES = b"0123456789+-.,e\r\n" + "".join(_LABEL_CODE).encode()
 
-    No unit conversion happens here; values come back as stored.
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open a data file for `csv` reading as UTF-8 text.
+
+    Bytes that are not UTF-8 raise ParseError naming the file, whether
+    they surface on opening or while the block reads.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
+
+
+def parse_float(token: str, path: Path, line: int, column: str) -> float:
+    """Parse one CSV cell as a finite float, or raise ParseError there."""
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise ParseError(
+            f"cannot parse {token!r} as a number", path, line, column
+        ) from exc
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {token!r}", path, line, column)
+    return value
+
+
+def read_tv_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a TV file into the columns a TvTrajectory holds.
+
+    Returns `t` (n,), `values` (n, 6) in TV_NAMES order with NaN for an
+    empty cell, and int8 `quality` codes into QUALITIES.  No unit
+    conversion happens here; values come back as stored, and times are
+    not checked against a uniform grid.
+
+    Raises SchemaError for a bad header and ParseError, with line and
+    column, for a row without 8 fields, a cell that is not a finite
+    number, an unknown quality label, an empty cell in an Ok frame, or
+    text that is not UTF-8.
     """
     path = Path(path)
+    with open(path, "rb") as fh:
+        columns = _parse_regular_tv(fh.read())
+    return columns if columns is not None else _read_tv_cells(path)
+
+
+def _parse_regular_tv(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse a TV file with one `np.loadtxt` call, or return None when the
+    file is not spelled plainly enough for that to agree with
+    `_read_tv_cells`, which then reads it (and raises, if it is bad)."""
+    header, _, body = data.partition(b"\n")
+    # A file without rows goes to the per-cell reader too: loadtxt warns
+    # on empty input.
+    if (
+        header not in (_TV_HEADER_LINE, _TV_HEADER_LINE + b"\r")
+        or body.translate(None, _FAST_TV_BYTES)
+        or not body.strip(b"\r\n")
+    ):
+        return None
+    # Two passes, because `replace` skips the comma it just matched.
+    filled = body.replace(b",,", b",nan,").replace(b",,", b",nan,")
+    n_empty = (len(filled) - len(body)) // 3
+    label_column = len(TV_HEADER) - 1
+    try:
+        table = np.loadtxt(
+            filled.decode("ascii").splitlines(),
+            delimiter=",",
+            comments=None,
+            ndmin=2,
+            converters={label_column: _LABEL_CODE.__getitem__},
+        )
+    except ValueError:
+        return None
+    if table.shape[1] != len(TV_HEADER):
+        return None
+    numbers = table[:, :label_column]
+    quality = table[:, label_column].astype(np.int8)
+    # Every NaN must be a filled empty cell: no `nan` token, no overflow to
+    # inf, and no empty cell in an Ok frame.
+    if (
+        np.count_nonzero(~np.isfinite(numbers)) != n_empty
+        or np.isnan(numbers[quality == _OK]).any()
+    ):
+        return None
+    return numbers[:, 0], numbers[:, 1:], quality
+
+
+def _read_tv_cells(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a TV file cell by cell with `csv` and `float`.
+
+    The reference that `_parse_regular_tv` must agree with, the only
+    reader of legal but irregular files (blank lines, quoted or padded
+    cells), and the one that raises every ParseError, for the first bad
+    cell in file order.
+    """
     times: list[float] = []
-    columns: dict[str, list[float | None]] = {name: [] for name in TV_NAMES}
-    quality: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    values: list[float] = []
+    quality: list[int] = []
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -93,23 +196,28 @@ def read_tv_csv(
                 raise ParseError(
                     f"expected {len(TV_HEADER)} fields, got {len(row)}", path, line_no
                 )
-            try:
-                times.append(float(row[0]))
-            except ValueError as exc:
-                raise ParseError(f"bad timestamp {row[0]!r}", path, line_no, "t") from exc
-            for k, name in enumerate(TV_NAMES, start=1):
-                token = row[k].strip()
-                if not token:
-                    columns[name].append(None)
-                    continue
-                try:
-                    columns[name].append(float(token))
-                except ValueError as exc:
-                    raise ParseError(
-                        f"bad value {token!r}", path, line_no, name
-                    ) from exc
-            quality.append(row[7].strip())
-    return np.array(times, dtype=np.float64), columns, quality
+            times.append(parse_float(row[0], path, line_no, "t"))
+            empty = []
+            for name, token in zip(TV_NAMES, row[1:]):
+                token = token.strip()
+                if token:
+                    values.append(parse_float(token, path, line_no, name))
+                else:
+                    values.append(math.nan)
+                    empty.append(name)
+            label = row[-1].strip()
+            if label not in _LABEL_CODE:
+                raise ParseError(
+                    f"unknown quality label {label!r}", path, line_no, "quality"
+                )
+            if empty and _LABEL_CODE[label] == _OK:
+                raise ParseError("empty cell in an Ok frame", path, line_no, empty[0])
+            quality.append(_LABEL_CODE[label])
+    return (
+        np.array(times, dtype=np.float64),
+        np.array(values, dtype=np.float64).reshape(-1, len(TV_NAMES)),
+        np.array(quality, dtype=np.int8),
+    )
 
 
 def _trace_to_list(trace: Polyline) -> list[list[float]]:

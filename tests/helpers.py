@@ -30,7 +30,8 @@ import numpy as np
 
 from tractvar.anatomy import Sex, build_speaker_anatomy
 from tractvar.geometry import Point2D, Polyline
-from tractvar.tract_variables import PELLET_NAMES, PelletFrame
+from tractvar.tract_variables import PELLET_NAMES, QUALITIES, TV_NAMES, PelletFrame
+from tractvar.tvcsv import read_tv_csv
 
 PALATE_CENTER = (-30.0, -5.0)
 PALATE_RADIUS = 35.0
@@ -208,3 +209,11 @@ def write_speaker_fixture(
     manifest_path = root / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path
+
+
+def read_tv_columns(path):
+    """`read_tv_csv` unpacked into times, a list per variable (NaN for an
+    empty cell) and the quality labels."""
+    t, values, quality = read_tv_csv(path)
+    columns = dict(zip(TV_NAMES, values.T.tolist()))
+    return t, columns, [QUALITIES[q].value for q in quality]

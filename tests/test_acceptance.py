@@ -33,7 +33,7 @@ from tractvar.tract_variables import (
     TvTrajectory,
     compute_trajectory,
 )
-from tractvar.tvcsv import TV_NAMES, read_tv_csv, write_tv_csv
+from tractvar.tvcsv import TV_NAMES, write_tv_csv
 
 from helpers import (
     ANGLE_TOL,
@@ -41,6 +41,7 @@ from helpers import (
     EXPECTED_TV,
     brute_points_to_polyline,
     make_frame,
+    read_tv_columns,
     reference_pellets,
     synthetic_anatomy,
     wall_coords,
@@ -225,7 +226,7 @@ def test_criterion_5_end_to_end_synthetic_tvs(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--manifest", str(manifest), "--out", str(out)])
     assert rc == 0
-    _, columns, quality = read_tv_csv(out / "utt00.tv.csv")
+    _, columns, quality = read_tv_columns(out / "utt00.tv.csv")
     assert quality and all(q == "Ok" for q in quality)
     worst = {}
     for name in TV_NAMES:

@@ -11,8 +11,10 @@ import pytest
 
 from tractvar import pipeline
 from tractvar.cli import main
+from tractvar.compare import ComparisonReport, compare_tvs, ppmc
+from tractvar.errors import DataError, TimebaseMismatch
 from tractvar.tract_variables import TvTrajectory
-from tractvar.tvcsv import open_atomic, read_tv_csv, write_tv_csv
+from tractvar.tvcsv import TV_HEADER, open_atomic, write_tv_csv
 
 from helpers import (
     ANGLE_TOL,
@@ -20,6 +22,7 @@ from helpers import (
     EXPECTED_TV,
     on_arc,
     palate_coords,
+    read_tv_columns,
     reference_pellets,
     wall_coords,
     write_pellet_csv,
@@ -69,7 +72,7 @@ class TestRun:
         rc = run_cli("run", "--manifest", manifest, "--out", out)
         assert rc == 0
         assert (out / "synth.anatomy.json").exists()
-        times, columns, quality = read_tv_csv(out / "utt00.tv.csv")
+        times, columns, quality = read_tv_columns(out / "utt00.tv.csv")
         assert len(times) == 30
         assert all(q == "Ok" for q in quality)
         for k, t in enumerate(times):
@@ -92,7 +95,7 @@ class TestRun:
         out = tmp_path / "out"
         rc = run_cli("run", "--manifest", manifest, "--out", out, "--degrees")
         assert rc == 0
-        _, columns, _ = read_tv_csv(out / "utt00.tv.csv")
+        _, columns, _ = read_tv_columns(out / "utt00.tv.csv")
         for v in columns["TBCL"]:
             assert v == pytest.approx(33.75, abs=math.degrees(ANGLE_TOL))
         for v in columns["TTCL"]:
@@ -105,7 +108,7 @@ class TestRun:
         manifest = penetration_fixture(tmp_path / "data")
         out_signed = tmp_path / "signed"
         assert run_cli("run", "--manifest", manifest, "--out", out_signed) == 0
-        _, columns, _ = read_tv_csv(out_signed / "utt.tv.csv")
+        _, columns, _ = read_tv_columns(out_signed / "utt.tv.csv")
         for v in columns["TBCD"]:
             assert v == pytest.approx(-5.0, abs=DISTANCE_TOL)
 
@@ -114,7 +117,7 @@ class TestRun:
             "run", "--manifest", manifest, "--out", out_clamped, "--clamp-tbcd"
         )
         assert rc == 0
-        _, columns, _ = read_tv_csv(out_clamped / "utt.tv.csv")
+        _, columns, _ = read_tv_columns(out_clamped / "utt.tv.csv")
         for v in columns["TBCD"]:
             assert v == 0.0
         for v in columns["TBCL"]:
@@ -125,7 +128,7 @@ class TestRun:
         out = tmp_path / "out"
         rc = run_cli("run", "--manifest", manifest, "--out", out, "--rate", 72.5)
         assert rc == 0
-        times, _, _ = read_tv_csv(out / "utt00.tv.csv")
+        times, _, _ = read_tv_columns(out / "utt00.tv.csv")
         assert len(times) == 15
         for k, t in enumerate(times):
             assert t == k / 72.5
@@ -195,6 +198,23 @@ class TestRun:
         (root / "utt00.csv").write_text("t,broken\n")
         rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
         assert rc == 2
+
+    def test_non_utf8_utterance_is_data_error(self, tmp_path, caplog):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        with open(root / "utt00.csv", "ab") as fh:
+            fh.write(b"\xff\xfe")
+        rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
+        assert rc == 2
+        assert any("not UTF-8" in r.getMessage() for r in caplog.records)
+
+    def test_non_utf8_manifest_is_config_error(self, tmp_path, caplog):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        with open(manifest, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
+        assert rc == 1
+        assert any("not UTF-8" in r.getMessage() for r in caplog.records)
 
     def test_missing_utterance_file_is_config_error(self, tmp_path):
         # I/O trouble wins over data trouble in the exit code.
@@ -401,6 +421,72 @@ class TestCompare:
     def test_missing_file_is_config_error(self, tmp_path):
         a, _ = self.make_tv_files(tmp_path)
         assert run_cli("compare", a, tmp_path / "nope.csv") == 1
+
+    @pytest.mark.parametrize(
+        "column, token, message",
+        [
+            ("LA", "nan", "non-finite value 'nan'"),
+            ("LA", "", "empty cell in an Ok frame"),
+            ("quality", "OK", "unknown quality label 'OK'"),
+        ],
+    )
+    def test_bad_cell_is_data_error_not_a_score(
+        self, tmp_path, caplog, capsys, column, token, message
+    ):
+        # Each of these once gave a score (LA = -1.0, or one frame fewer
+        # compared) and exit 0.
+        a, b = self.make_tv_files(tmp_path)
+        lines = b.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[TV_HEADER.index(column)] = token
+        lines[4] = ",".join(fields)
+        b.write_text("\r\n".join(lines) + "\r\n")
+        assert run_cli("compare", a, b) == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"{b}:5 ({column}): {message}"]
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        a, b = self.make_tv_files(tmp_path)
+        with open(b, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        assert run_cli("compare", a, b) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ppmc_rejects_non_finite_samples(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            ppmc([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="non-finite"):
+            ppmc([1.0, 2.0, 3.0], [1.0, 2.0, bad])
+
+    def test_timebase_mismatch_message(self, tmp_path):
+        a, b = tmp_path / "a.tv.csv", tmp_path / "b.tv.csv"
+        for path, last in ((a, 2 / 145), (b, 0.5)):
+            rows = [",".join(TV_HEADER)] + [
+                f"{t!r},{k},{k},{k},{k},{k},{k},Ok"
+                for k, t in enumerate([0.0, 1 / 145, last])
+            ]
+            path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(TimebaseMismatch) as excinfo:
+            compare_tvs(a, b)
+        assert str(excinfo.value) == (
+            "timestamps disagree at frame 2: 0.013793103448275862 vs 0.5"
+        )
+
+    def test_failed_json_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        a, b = self.make_tv_files(tmp_path)
+        report = tmp_path / "reports" / "report.json"
+        report.parent.mkdir()
+        assert run_cli("compare", a, b, "--json", report) == 0
+        before = report.read_bytes()
+        # A report that cannot be serialised fails json.dump part-way.
+        monkeypatch.setattr(
+            ComparisonReport, "to_json_dict", lambda self: {"average": object()}
+        )
+        with pytest.raises(TypeError):
+            run_cli("compare", a, a, "--json", report)
+        assert report.read_bytes() == before
+        assert list(report.parent.iterdir()) == [report]
 
     def test_constant_series_is_data_error(self, tmp_path):
         manifest = write_speaker_fixture(tmp_path / "data")

@@ -15,6 +15,7 @@ from tractvar.errors import (
     ParseError,
     SchemaError,
 )
+from tractvar import ingest
 from tractvar.ingest import (
     PELLET_HEADER,
     SENTINEL_MAGNITUDE,
@@ -186,6 +187,24 @@ class TestParsePelletFile:
         assert len(traj.frames) == 3
         assert report.frames_read == 3
 
+    @pytest.mark.parametrize("where", ["start", "end"])
+    def test_not_utf8_is_parse_error(self, tmp_path, monkeypatch, where):
+        # Text is decoded in 8 KiB chunks, so bad bytes at the end of a long
+        # file surface inside the fast pass and reach _raise_first_bad_cell.
+        path = tmp_path / "utt.csv"
+        write_pellet_csv(path, pellet_rows(200))
+        data = path.read_bytes()
+        assert len(data) > 4 * 8192
+        path.write_bytes(b"\xff" + data if where == "start" else data + b"\xff\xfe")
+        calls = []
+        check = ingest._raise_first_bad_cell
+        monkeypatch.setattr(
+            ingest, "_raise_first_bad_cell", lambda p: calls.append(p) or check(p)
+        )
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_pellet_file(path)
+        assert len(calls) == (where == "end")
+
     def test_sentinel_marks_pellet_invalid(self, tmp_path):
         path = tmp_path / "utt.csv"
         write_pellet_csv(path, pellet_rows(5, invalid={2: ("T1",), 3: ("T1", "MNM")}))
@@ -306,6 +325,14 @@ class TestParseTraceFile:
             parse_trace_file(path, "palate")
         assert excinfo.value.line == 3
         assert excinfo.value.column == "x"
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "pal.csv"
+        write_trace_csv(path, palate_coords())
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_trace_file(path, "palate")
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "pal.csv"
@@ -585,6 +612,13 @@ class TestLoadManifest:
         path = tmp_path / "manifest.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
+            load_manifest(path)
+
+    def test_not_utf8_is_config_error(self, tmp_path):
+        path = self.write(tmp_path, self.entry())
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(ConfigError, match="not UTF-8"):
             load_manifest(path)
 
     def test_non_object_entry(self, tmp_path):
