@@ -7,9 +7,12 @@ zero along +y (toward the palate), increasing toward +x (anterior), in
 radians on (-pi, pi].
 
 The polyline distance queries are the per-frame hot path, so `Polyline`
-precomputes per-segment arrays once and the queries run vectorized over
-segments, one point at a time (`nearest`) or over whole blocks of points
-(`nearest_many`).
+precomputes per-segment arrays once and `nearest_many` answers whole
+blocks of points at a time, vectorized over points and segments.  It is
+the one nearest-point kernel: `circle_polyline_contacts` and
+`circle_polyline_clearance` are built on it, and the test suite keeps a
+point-at-a-time twin (`tests/reference.py`) that it must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ TOL_COLLINEAR = 1e-6
 # Minimum distance (mm) from a reference center at which an angle is
 # still considered well defined.
 MIN_ANGLE_RADIUS = 1e-9
+
+# Message of the DegenerateAngle raised when a trace passes through a
+# circle's center, so that no point of the circle is closest to it.
+CENTER_ON_TRACE = "trace passes through the circle center; boundary point undefined"
 
 # Query points per block in `Polyline.nearest_many`.  A block's
 # points-by-segments temporaries stay within the CPU cache for traces of
@@ -119,32 +126,15 @@ class Polyline:
     def __repr__(self) -> str:
         return f"Polyline({len(self._points)} points)"
 
-    def nearest(self, px: float, py: float) -> tuple[int, float, float, float]:
-        """Nearest point on the chain to (px, py).
-
-        Returns (segment index, squared distance, closest x, closest y).
-        Ties resolve to the lowest segment index.
-        """
-        t = px * self._ux + py * self._uy - self._c0
-        np.clip(t, 0.0, 1.0, out=t)
-        cx = self._ax + t * self._dx
-        cy = self._ay + t * self._dy
-        ex = px - cx
-        ey = py - cy
-        d2 = ex * ex + ey * ey
-        i = int(np.argmin(d2))
-        return i, float(d2[i]), float(cx[i]), float(cy[i])
-
     def nearest_many(
         self, px: np.ndarray, py: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """`nearest` for every point of the arrays (px, py).
+        """Nearest point on the chain to every point of the arrays (px, py).
 
         Returns arrays of segment index, squared distance, closest x and
-        closest y.  Each element is bit-for-bit what `nearest` returns for
-        that point: the arithmetic is the same, only blocked over
-        NEAREST_CHUNK points at a time, and `argmin` keeps the
-        lowest-index tie.
+        closest y.  Each point is projected onto every segment with the
+        clamped, folded projection, NEAREST_CHUNK points at a time, and
+        ties resolve to the lowest segment index.
         """
         n = len(px)
         index = np.empty(n, dtype=np.intp)
@@ -196,41 +186,24 @@ def distance(p: Point2D, q: Point2D) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def point_segment_distance(
-    p: Point2D, a: Point2D, b: Point2D
-) -> tuple[float, Point2D]:
-    """Distance from `p` to segment `ab`, with the attaining point.
+def circle_polyline_contacts(
+    cx: np.ndarray, cy: np.ndarray, radius: np.ndarray | float, trace: Polyline
+) -> tuple[np.ndarray, ...]:
+    """Where circles with centers (cx, cy) come closest to a trace.
 
-    Raises ValueError when the segment has zero length.
+    Returns arrays of segment index, center-to-trace distance, closest
+    trace point (x, y), and the attaining circle point (x, y), which lies
+    on the ray from the center through the closest trace point.  That
+    circle point is meaningless where the center distance is below
+    MIN_ANGLE_RADIUS, which callers must reject.
     """
-    dx = b.x - a.x
-    dy = b.y - a.y
-    len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        raise ValueError("zero-length segment")
-    t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / len2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    cx = a.x + t * dx
-    cy = a.y + t * dy
-    return math.hypot(p.x - cx, p.y - cy), Point2D(cx, cy)
-
-
-def point_polyline_clearance(p: Point2D, trace: Polyline) -> ClearanceResult:
-    """Minimum distance from a point to a trace.
-
-    The result's `closest_object_point` is `p` itself; `distance` is
-    always >= 0.  Ties between segments resolve to the lowest index.
-    """
-    i, d2, cx, cy = trace.nearest(p.x, p.y)
-    return ClearanceResult(
-        distance=math.sqrt(d2),
-        closest_trace_point=Point2D(cx, cy),
-        closest_object_point=p,
-        segment_index=i,
-    )
+    index, d2, px, py = trace.nearest_many(cx, cy)
+    center_dist = np.sqrt(d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = radius / center_dist
+        ox = cx + (px - cx) * scale
+        oy = cy + (py - cy) * scale
+    return index, center_dist, px, py, ox, oy
 
 
 def circle_polyline_clearance(circle: Circle, trace: Polyline) -> ClearanceResult:
@@ -239,22 +212,23 @@ def circle_polyline_clearance(circle: Circle, trace: Polyline) -> ClearanceResul
     Positive clearance is the gap between the circle boundary and the
     trace; negative means the trace comes closer to the center than the
     radius (penetration).  The attaining circle point lies on the ray
-    from the center through the closest trace point.
+    from the center through the closest trace point.  Raises
+    DegenerateAngle when the trace passes through the center.
     """
     c = circle.center
-    i, d2, cx, cy = trace.nearest(c.x, c.y)
-    center_dist = math.sqrt(d2)
-    if center_dist < MIN_ANGLE_RADIUS:
-        raise DegenerateAngle(
-            "trace passes through the circle center; boundary point undefined"
+    index, center_dist, px, py, ox, oy = (
+        a.item()
+        for a in circle_polyline_contacts(
+            np.array([c.x]), np.array([c.y]), circle.radius, trace
         )
-    scale = circle.radius / center_dist
-    on_circle = Point2D(c.x + (cx - c.x) * scale, c.y + (cy - c.y) * scale)
+    )
+    if center_dist < MIN_ANGLE_RADIUS:
+        raise DegenerateAngle(CENTER_ON_TRACE)
     return ClearanceResult(
         distance=center_dist - circle.radius,
-        closest_trace_point=Point2D(cx, cy),
-        closest_object_point=on_circle,
-        segment_index=i,
+        closest_trace_point=Point2D(px, py),
+        closest_object_point=Point2D(ox, oy),
+        segment_index=index,
     )
 
 
@@ -392,21 +366,3 @@ def extend_line_to_polyline(
         )
     t = max(best_t, 0.0)
     return Point2D(b.x + t * dx, b.y + t * dy), best_idx
-
-
-def angle_from_reference(center: Point2D, p: Point2D) -> float:
-    """Angle of `p` about `center`, zero along +y, positive toward +x.
-
-    Returned in radians on (-pi, pi].  Raises DegenerateAngle when `p`
-    sits on the center within 1e-9 mm.
-    """
-    dx = p.x - center.x
-    dy = p.y - center.y
-    if math.hypot(dx, dy) < MIN_ANGLE_RADIUS:
-        raise DegenerateAngle(
-            f"point ({p.x}, {p.y}) coincides with the reference center"
-        )
-    ang = math.atan2(dx, dy)
-    if ang <= -math.pi:
-        return math.pi
-    return ang

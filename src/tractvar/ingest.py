@@ -30,13 +30,13 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .anatomy import Sex
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateTrace,
     InsufficientData,
     ParseError,
@@ -52,11 +52,13 @@ logger = logging.getLogger(__name__)
 # mistracked.
 SENTINEL_MAGNITUDE = 9.9e5
 
-# Value written back out for invalid pellets.
-_SENTINEL_OUT = 1e6
-
 # Default output rate (samples per second) for resampling.
 TARGET_RATE_HZ = 145.0
+
+# Most samples a resampled grid may have: over 19 hours at 145 Hz, and
+# about 2 GB of working arrays.  It is checked before anything is sized
+# from the grid, so that a huge rate cannot ask for an impossible array.
+MAX_GRID_SAMPLES = 10_000_000
 
 PELLET_HEADER = (
     "t",
@@ -84,41 +86,11 @@ class PelletTrajectory:
         self,
         speaker_id: str,
         utterance_id: str,
-        frames: Iterable[PelletFrame],
-        native_rate: float,
-    ) -> None:
-        frames = tuple(frames)
-        n = len(frames)
-        t = np.array([f.t for f in frames], dtype=np.float64)
-        xy = np.array(
-            [
-                (p.x, p.y)
-                for f in frames
-                for p in (f.ul, f.ll, f.t1, f.t2, f.t3, f.t4, f.mni, f.mnm)
-            ],
-            dtype=np.float64,
-        ).reshape(n, len(PELLET_NAMES), 2)
-        valid = np.array(
-            [name in f.valid for f in frames for name in PELLET_NAMES], dtype=bool
-        ).reshape(n, len(PELLET_NAMES))
-        self._set(speaker_id, utterance_id, t, xy, valid, native_rate)
-        self._frames = frames
-
-    @classmethod
-    def from_columns(
-        cls,
-        speaker_id: str,
-        utterance_id: str,
         t: np.ndarray,
         xy: np.ndarray,
         valid: np.ndarray,
         native_rate: float,
-    ) -> PelletTrajectory:
-        self = cls.__new__(cls)
-        self._set(speaker_id, utterance_id, t, xy, valid, native_rate)
-        return self
-
-    def _set(self, speaker_id, utterance_id, t, xy, valid, native_rate) -> None:
+    ) -> None:
         if native_rate <= 0.0 or not math.isfinite(native_rate):
             raise ValueError(f"native rate must be positive, got {native_rate}")
         backwards = np.flatnonzero(t[1:] <= t[:-1])
@@ -244,7 +216,7 @@ def parse_pellet_file(
         frames_mistracked=int(np.count_nonzero(~valid.all(axis=1))),
     )
     native_rate = (n - 1) / (float(t[-1]) - float(t[0]))
-    trajectory = PelletTrajectory.from_columns(
+    trajectory = PelletTrajectory(
         speaker_id,
         utterance_id if utterance_id is not None else path.stem,
         t,
@@ -253,21 +225,6 @@ def parse_pellet_file(
         native_rate,
     )
     return trajectory, report
-
-
-def write_pellet_file(trajectory: PelletTrajectory, path: str | Path) -> None:
-    """Write a trajectory back to pellet CSV.
-
-    Valid pellet coordinates round-trip bit-exactly (shortest repr);
-    invalid pellets are written as the 1e6 sentinel so the flag survives.
-    """
-    n = len(trajectory)
-    cells = np.where(trajectory.valid[:, :, None], trajectory.xy, _SENTINEL_OUT)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PELLET_HEADER)
-        for t, row in zip(trajectory.t.tolist(), cells.reshape(n, -1).tolist()):
-            writer.writerow([repr(t), *map(repr, row)])
 
 
 def parse_trace_file(path: str | Path, kind: str) -> Polyline:
@@ -343,7 +300,8 @@ def resample(
     timestamps (exact grid hits do not count).
 
     Raises InsufficientData when the trajectory has fewer than two frames
-    or some pellet has fewer than two valid samples.
+    or some pellet has fewer than two valid samples, and DataError when
+    the grid would have more than MAX_GRID_SAMPLES samples.
     """
     if target_rate <= 0.0 or not math.isfinite(target_rate):
         raise ValueError(f"target rate must be positive, got {target_rate}")
@@ -354,7 +312,16 @@ def resample(
             f"{trajectory.utterance_id}: need at least 2 frames to resample, got {n}"
         )
     span = float(times[-1] - times[0])
-    count = int(math.floor(span * target_rate + 1e-9)) + 1
+    # Intervals in the grid before flooring, as a float: a huge rate makes
+    # it inf, which `math.floor` cannot take.
+    intervals = span * target_rate + 1e-9
+    if intervals >= MAX_GRID_SAMPLES:
+        raise DataError(
+            f"{trajectory.utterance_id}: resampling {span:g} s at {target_rate:g} Hz "
+            f"needs a grid of {intervals + 1.0:.4g} samples, more than the "
+            f"limit of {MAX_GRID_SAMPLES:,}"
+        )
+    count = int(math.floor(intervals)) + 1
     steps = np.arange(count, dtype=np.float64)
     grid = times[0] + steps / target_rate
 
@@ -383,7 +350,7 @@ def resample(
         report.pellets_interpolated += len(PELLET_NAMES) * int(
             np.count_nonzero(~exact)
         )
-    return PelletTrajectory.from_columns(
+    return PelletTrajectory(
         trajectory.speaker_id,
         trajectory.utterance_id,
         grid,
@@ -418,6 +385,12 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
         raise ConfigError(f"manifest entry is missing key {exc}") from exc
     if not isinstance(speaker_id, str) or not speaker_id:
         raise ConfigError("speaker_id must be a non-empty string")
+    # Outputs are named after the id, so it must be one plain file name.
+    if speaker_id in (".", "..") or any(c in speaker_id for c in "/\\\0"):
+        raise ConfigError(
+            f"speaker_id {speaker_id!r} must be a plain file name: no '/', "
+            f"'\\' or NUL, and not '.' or '..'"
+        )
     try:
         sex = Sex(sex_code)
     except ValueError:
@@ -472,9 +445,10 @@ def _reject_duplicates(path: Path, speakers: list[SpeakerSpec]) -> None:
 def load_manifest(path: str | Path) -> list[SpeakerSpec]:
     """Load a speaker manifest (single object or list of objects).
 
-    Raises ConfigError for malformed entries, and when two speakers share
-    an id or two utterance files share a stem, since either would make
-    one output overwrite another.
+    Raises ConfigError for malformed entries, for a speaker id that is
+    not a plain file name, and when two speakers share an id or two
+    utterance files share a stem, since either would make one output
+    overwrite another.
     """
     path = Path(path)
     try:

@@ -26,7 +26,7 @@ from .ingest import (
     resample,
 )
 from .plots import anatomy_svg, tv_svg
-from .tract_variables import TvOptions, compute_trajectory
+from .tract_variables import compute_trajectory
 from .tvcsv import open_atomic, write_anatomy_json, write_tv_csv
 
 logger = logging.getLogger(__name__)
@@ -112,9 +112,7 @@ def _process_utterance(
         utterance_path, speaker_id=spec.speaker_id
     )
     uniform = resample(trajectory, config.target_rate, report)
-    tvs = compute_trajectory(
-        uniform, anat, TvOptions(clamp_tbcd=config.clamp_tbcd)
-    )
+    tvs = compute_trajectory(uniform, anat, clamp_tbcd=config.clamp_tbcd)
     out_csv = config.output_dir / f"{utterance_path.stem}.tv.csv"
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
@@ -123,12 +121,13 @@ def _process_utterance(
             tv_svg(tvs, degrees=config.degrees),
         )
     logger.info(
-        "%s/%s: %d frames in, %d out, %d mistracked",
+        "%s/%s: %d frames in, %d out, %d mistracked, %d pellets interpolated",
         spec.speaker_id,
         utterance_path.stem,
         report.frames_read,
         len(tvs),
         report.frames_mistracked,
+        report.pellets_interpolated,
     )
     return out_csv
 

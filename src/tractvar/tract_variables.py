@@ -16,11 +16,12 @@ Degrees are in millimeters, locations in radians.  Frames with invalid
 pellets or a degenerate (collinear) tongue posture are flagged through
 `Quality`; a flagged variable is absent (None), never a silent zero.
 
-`compute_trajectory` works on whole columns at once.  The per-frame
-functions (`compute_frame` and the helpers it calls) are the reference it
-must match bit for bit: both use the same IEEE operations in the same
-order, and `math.hypot` and `math.atan2` run per element because their
-NumPy counterparts may differ in the last bit.
+`compute_trajectory` is the engine: it works on whole columns at once.
+The test suite keeps a per-frame engine (`compute_frame` in
+`tests/reference.py`) that it must match bit for bit, values and errors
+alike: both use the same IEEE operations in the same order, and
+`math.hypot` and `math.atan2` run per element here because their NumPy
+counterparts may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -28,22 +29,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .anatomy import SpeakerAnatomy
-from .errors import CollinearPoints
+from .errors import DegenerateAngle
 from .geometry import (
+    CENTER_ON_TRACE,
     MIN_ANGLE_RADIUS,
     TOL_COLLINEAR,
-    Circle,
     Point2D,
-    angle_from_reference,
-    circle_polyline_clearance,
-    circumcircle,
-    distance,
-    point_polyline_clearance,
+    circle_polyline_contacts,
 )
 
 if TYPE_CHECKING:
@@ -125,21 +122,6 @@ class TractVariableFrame:
     quality: Quality
 
 
-@dataclass(frozen=True)
-class TvOptions:
-    """Knobs for the per-frame computation.
-
-    `clamp_tbcd` clamps negative tongue-body clearances (trace inside the
-    circle) to zero; by default the signed value is kept because the
-    penetration depth carries articulatory information.
-    """
-
-    clamp_tbcd: bool = False
-
-
-_DEFAULT_OPTIONS = TvOptions()
-
-
 class TvTrajectory:
     """A uniformly sampled tract-variable series, held as columns.
 
@@ -155,37 +137,11 @@ class TvTrajectory:
     def __init__(
         self,
         speaker_id: str,
-        frames: Iterable[TractVariableFrame] = (),
-        sample_rate: float = 145.0,
-    ) -> None:
-        frames = tuple(frames)
-        t = np.array([f.t for f in frames], dtype=np.float64)
-        values = np.array(
-            [
-                math.nan if v is None else v
-                for f in frames
-                for v in (f.la, f.lp, f.tbcl, f.tbcd, f.ttcl, f.ttcd)
-            ],
-            dtype=np.float64,
-        ).reshape(len(frames), len(TV_NAMES))
-        quality = np.array([_QUALITY_CODE[f.quality] for f in frames], dtype=np.int8)
-        self._set(speaker_id, t, values, quality, sample_rate)
-        self._frames = frames
-
-    @classmethod
-    def from_columns(
-        cls,
-        speaker_id: str,
         t: np.ndarray,
         values: np.ndarray,
         quality: np.ndarray,
         sample_rate: float,
-    ) -> TvTrajectory:
-        self = cls.__new__(cls)
-        self._set(speaker_id, t, values, quality, sample_rate)
-        return self
-
-    def _set(self, speaker_id, t, values, quality, sample_rate) -> None:
+    ) -> None:
         if sample_rate <= 0.0:
             raise ValueError(f"sample rate must be positive, got {sample_rate}")
         if len(t):
@@ -223,156 +179,57 @@ class TvTrajectory:
         return self._frames
 
 
-def compute_la(frame: PelletFrame) -> float:
-    """Lip aperture: Euclidean distance between the lip pellets."""
-    return distance(frame.ul, frame.ll)
-
-
-def compute_lp(frame: PelletFrame) -> float:
-    """Lip protrusion: upper-lip x, sign preserved (origin at the incisor)."""
-    return frame.ul.x
-
-
-def tongue_body_circle(frame: PelletFrame) -> Circle:
-    """Circle through the three rear tongue pellets (T2, T3, T4).
-
-    Raises CollinearPoints when the posture is flat within tolerance.
-    """
-    return circumcircle(frame.t2, frame.t3, frame.t4)
-
-
-def compute_tongue_body_tvs(
-    frame: PelletFrame,
-    anat: SpeakerAnatomy,
-    options: TvOptions = _DEFAULT_OPTIONS,
-) -> tuple[float, float]:
-    """(TBCD, TBCL) via the tongue-body circle.
-
-    TBCD is the signed clearance between the circle and the extended
-    palate; TBCL the angle of the attaining circle point about the
-    palatal reference center.  Propagates CollinearPoints for degenerate
-    postures; use `fallback_tongue_body_tvs` in that case.
-    """
-    circle = tongue_body_circle(frame)
-    res = circle_polyline_clearance(circle, anat.extended_palate)
-    tbcd = res.distance
-    if options.clamp_tbcd and tbcd < 0.0:
-        tbcd = 0.0
-    tbcl = angle_from_reference(anat.reference_center, res.closest_object_point)
-    return tbcd, tbcl
-
-
-def fallback_tongue_body_tvs(
-    frame: PelletFrame, anat: SpeakerAnatomy
-) -> tuple[float, float]:
-    """(TBCD, TBCL) for a collinear tongue posture.
-
-    With no circle available, the clearance degenerates to the smallest
-    pellet-to-trace distance over T2, T3, T4, and the location to the
-    angle of the attaining pellet.
-    """
-    best = None
-    best_pellet = None
-    for name in ("T2", "T3", "T4"):
-        p = frame.pellet(name)
-        res = point_polyline_clearance(p, anat.extended_palate)
-        if best is None or res.distance < best:
-            best = res.distance
-            best_pellet = p
-    assert best is not None and best_pellet is not None
-    return best, angle_from_reference(anat.reference_center, best_pellet)
-
-
-def compute_tongue_tip_tvs(
-    frame: PelletFrame, anat: SpeakerAnatomy
-) -> tuple[float, float]:
-    """(TTCD, TTCL): T1 clearance to the extended palate and its angle."""
-    res = point_polyline_clearance(frame.t1, anat.extended_palate)
-    ttcl = angle_from_reference(anat.reference_center, frame.t1)
-    return res.distance, ttcl
-
-
-def compute_frame(
-    frame: PelletFrame,
-    anat: SpeakerAnatomy,
-    options: TvOptions = _DEFAULT_OPTIONS,
-) -> TractVariableFrame:
-    """All six tract variables for one pellet frame.
-
-    Each variable is computed when its pellets are valid and left absent
-    otherwise.  Quality is MISSING_PELLET when any required pellet is
-    invalid, DEGENERATE_TONGUE when the collinear fallback was engaged,
-    OK otherwise.
-    """
-    valid = frame.valid
-    la = lp = tbcl = tbcd = ttcl = ttcd = None
-    degenerate = False
-
-    if "UL" in valid:
-        lp = compute_lp(frame)
-        if "LL" in valid:
-            la = compute_la(frame)
-
-    if "T2" in valid and "T3" in valid and "T4" in valid:
-        try:
-            tbcd, tbcl = compute_tongue_body_tvs(frame, anat, options)
-        except CollinearPoints:
-            degenerate = True
-            tbcd, tbcl = fallback_tongue_body_tvs(frame, anat)
-
-    if "T1" in valid:
-        ttcd, ttcl = compute_tongue_tip_tvs(frame, anat)
-
-    if any(name not in valid for name in REQUIRED_PELLETS):
-        quality = Quality.MISSING_PELLET
-    elif degenerate:
-        quality = Quality.DEGENERATE_TONGUE
-    else:
-        quality = Quality.OK
-
-    return TractVariableFrame(
-        t=frame.t,
-        la=la,
-        lp=lp,
-        tbcl=tbcl,
-        tbcd=tbcd,
-        ttcl=ttcl,
-        ttcd=ttcd,
-        quality=quality,
-    )
-
-
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`math.hypot` per element (np.hypot can differ by one ulp)."""
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
 
 
 def _angles(
-    center: Point2D, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`angle_from_reference` per element, plus the mask of points where
-    it raises DegenerateAngle."""
+    center: Point2D, x: np.ndarray, y: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The angle of each point (x, y) about `center`, zero along +y and
+    positive toward +x, on (-pi, pi].
+
+    Also returns the DegenerateAngle fault of the first point within
+    MIN_ANGLE_RADIUS of the center, as [(frame, message)] where frame is
+    its entry of `rows`, or [] when there is none.
+    """
     dx = x - center.x
     dy = y - center.y
     angle = np.fromiter(
         map(math.atan2, dx.tolist(), dy.tolist()), np.float64, len(dx)
     )
     angle[angle <= -math.pi] = math.pi
-    return angle, _hypot(dx, dy) < MIN_ANGLE_RADIUS
+    on_center = np.flatnonzero(_hypot(dx, dy) < MIN_ANGLE_RADIUS)
+    if not len(on_center):
+        return angle, []
+    k = on_center[0]
+    message = (
+        f"point ({float(x[k])}, {float(y[k])}) coincides with the reference center"
+    )
+    return angle, [(int(rows[k]), message)]
 
 
 def compute_trajectory(
     trajectory: PelletTrajectory,
     anat: SpeakerAnatomy,
-    options: TvOptions = _DEFAULT_OPTIONS,
+    *,
+    clamp_tbcd: bool = False,
 ) -> TvTrajectory:
     """Tract variables for every frame of a pellet trajectory.
 
     A pure map: frame i of the output depends only on frame i of the
     input and the anatomy, so results are identical no matter how the
-    work is ordered or parallelized.  Every value equals what
-    `compute_frame` gives for that frame, bit for bit, and a frame on
-    which `compute_frame` raises makes this raise the same error.
+    work is ordered or parallelized.  `clamp_tbcd` clamps negative
+    tongue-body clearances (trace inside the circle) to zero; by default
+    the signed value is kept because the penetration depth carries
+    articulatory information.
+
+    Raises DegenerateAngle when a location is undefined in some frame:
+    the extended palate passes through the tongue-body circle's center,
+    or the circle's contact point, the collinear-fallback pellet or T1
+    sits on the reference center.  The error describes the first such
+    frame, and within it the first of these checks, in that order.
     """
     xy = trajectory.xy
     valid = trajectory.valid
@@ -380,7 +237,9 @@ def compute_trajectory(
     palate = anat.extended_palate
     center = anat.reference_center
     values = np.full((n, len(TV_NAMES)), np.nan)
-    raises = np.zeros(n, dtype=bool)
+    # The first failing frame of each check, with its message, in the
+    # order the checks run within a frame.
+    faults: list[tuple[int, str]] = []
 
     rows = np.flatnonzero(valid[:, _UL])
     values[rows, _LP] = xy[rows, _UL, 0]
@@ -407,23 +266,21 @@ def compute_trajectory(
     cx = a[:, 0] + ux
     cy = a[:, 1] + uy
     radius = _hypot(ux, uy)
-    # Its clearance and contact point, as in `circle_polyline_clearance`.
-    _, d2, px, py = palate.nearest_many(cx, cy)
-    center_dist = np.sqrt(d2)
-    raises[rows] |= center_dist < MIN_ANGLE_RADIUS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = radius / center_dist
-        contact_x = cx + (px - cx) * scale
-        contact_y = cy + (py - cy) * scale
+    _, center_dist, _, _, contact_x, contact_y = circle_polyline_contacts(
+        cx, cy, radius, palate
+    )
+    on_trace = np.flatnonzero(center_dist < MIN_ANGLE_RADIUS)
+    if len(on_trace):
+        faults.append((int(rows[on_trace[0]]), CENTER_ON_TRACE))
     tbcd = center_dist - radius
-    if options.clamp_tbcd:
+    if clamp_tbcd:
         tbcd[tbcd < 0.0] = 0.0
     values[rows, _TBCD] = tbcd
-    values[rows, _TBCL], bad = _angles(center, contact_x, contact_y)
-    raises[rows] |= bad
+    values[rows, _TBCL], fault = _angles(center, contact_x, contact_y, rows)
+    faults += fault
 
-    # Collinear tongue body: the nearest of T2, T3, T4 to the palate,
-    # the first on ties, as in `fallback_tongue_body_tvs`.
+    # Collinear tongue body: the nearest of T2, T3, T4 to the palate, the
+    # first on ties.
     tongue = xy[flat, _T2 : _T4 + 1]
     dist = np.empty((3, len(flat)))
     for k in range(3):
@@ -431,25 +288,25 @@ def compute_trajectory(
     best = np.argmin(dist, axis=0)
     pick = np.arange(len(flat))
     values[flat, _TBCD] = dist[best, pick]
-    values[flat, _TBCL], bad = _angles(
-        center, tongue[pick, best, 0], tongue[pick, best, 1]
+    values[flat, _TBCL], fault = _angles(
+        center, tongue[pick, best, 0], tongue[pick, best, 1], flat
     )
-    raises[flat] |= bad
+    faults += fault
 
     rows = np.flatnonzero(valid[:, _T1])
     tx = xy[rows, _T1, 0]
     ty = xy[rows, _T1, 1]
     values[rows, _TTCD] = np.sqrt(palate.nearest_many(tx, ty)[1])
-    values[rows, _TTCL], bad = _angles(center, tx, ty)
-    raises[rows] |= bad
+    values[rows, _TTCL], fault = _angles(center, tx, ty, rows)
+    faults += fault
 
-    if raises.any():
-        # Let the reference raise its own error for the first such frame.
-        compute_frame(trajectory.frames[int(np.argmax(raises))], anat, options)
+    if faults:
+        # `min` keeps the first of equal frames, which is the earlier check.
+        raise DegenerateAngle(min(faults, key=lambda fault: fault[0])[1])
 
     quality = np.full(n, _QUALITY_CODE[Quality.OK], dtype=np.int8)
     quality[flat] = _QUALITY_CODE[Quality.DEGENERATE_TONGUE]
     quality[~valid[:, _REQUIRED].all(axis=1)] = _QUALITY_CODE[Quality.MISSING_PELLET]
-    return TvTrajectory.from_columns(
+    return TvTrajectory(
         trajectory.speaker_id, trajectory.t, values, quality, trajectory.native_rate
     )

@@ -10,7 +10,7 @@ Every writer here replaces its target atomically: an interrupted or
 failed write leaves either the old file or none, never a truncated one.
 The TV reader rejects a malformed file with a ParseError naming its
 line and column; `open_text` and `parse_float` give the pellet and
-trace readers the same UTF-8 and cell checks.
+trace readers the same UTF-8, CSV and cell checks.
 """
 
 from __future__ import annotations
@@ -87,14 +87,17 @@ _FAST_TV_BYTES = b"0123456789+-.,e\r\n" + "".join(_LABEL_CODE).encode()
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """Open a data file for `csv` reading as UTF-8 text.
 
-    Bytes that are not UTF-8 raise ParseError naming the file, whether
-    they surface on opening or while the block reads.
+    Bytes that are not UTF-8, and text that `csv` cannot split (such as
+    a cell longer than its field size limit), raise ParseError naming
+    the file, whether they surface on opening or while the block reads.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV ({exc})", path) from None
 
 
 def parse_float(token: str, path: Path, line: int, column: str) -> float:

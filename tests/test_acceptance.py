@@ -27,12 +27,7 @@ from tractvar.geometry import (
     fit_circle,
 )
 from tractvar.ingest import PelletTrajectory, resample
-from tractvar.tract_variables import (
-    PELLET_NAMES,
-    PelletFrame,
-    TvTrajectory,
-    compute_trajectory,
-)
+from tractvar.tract_variables import PELLET_NAMES, compute_trajectory
 from tractvar.tvcsv import TV_NAMES, write_tv_csv
 
 from helpers import (
@@ -48,6 +43,7 @@ from helpers import (
     wobbled_pellets,
     write_speaker_fixture,
 )
+from reference import pellet_trajectory, tv_trajectory
 
 
 def tv_file_from_frames(path, n=40, negate=None):
@@ -57,16 +53,13 @@ def tv_file_from_frames(path, n=40, negate=None):
         make_frame(k / 145.0, wobbled_pellets(2.0 * math.pi * k / n))
         for k in range(n)
     ]
-    traj = PelletTrajectory(
-        speaker_id="synth", utterance_id="u", frames=tuple(frames), native_rate=145.0
-    )
-    tvs = compute_trajectory(traj, anat)
+    tvs = compute_trajectory(pellet_trajectory(frames), anat)
     if negate is not None:
         flipped = tuple(
             dataclasses.replace(f, **{negate: -getattr(f, negate)})
             for f in tvs.frames
         )
-        tvs = TvTrajectory(tvs.speaker_id, flipped, tvs.sample_rate)
+        tvs = tv_trajectory(flipped, tvs.speaker_id, tvs.sample_rate)
     write_tv_csv(tvs, path)
     return path
 
@@ -250,9 +243,7 @@ def test_criterion_6_resampling_exactness_and_drift():
         t = k / 80.0
         coords = {n: (x + a * t, y + b * t) for n, (x, y) in base.items()}
         frames.append(make_frame(t, coords))
-    traj = PelletTrajectory(
-        speaker_id="s", utterance_id="u", frames=tuple(frames), native_rate=80.0
-    )
+    traj = pellet_trajectory(frames, "s", "u", 80.0)
     out = resample(traj, 145.0)
     assert len(out.frames) == 146
     worst_affine = 0.0
@@ -268,12 +259,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     assert worst_affine <= 1e-9
 
     const_frames = tuple(make_frame(k / 80.0, base) for k in range(41))
-    const_out = resample(
-        PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=const_frames, native_rate=80.0
-        ),
-        145.0,
-    )
+    const_out = resample(pellet_trajectory(const_frames, "s", "u", 80.0), 145.0)
     for frame in const_out.frames:
         for name in PELLET_NAMES:
             p = frame.pellet(name)
@@ -282,13 +268,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     # Two frames spanning 1e5 output samples: the grid must not drift.
     span_frames = (make_frame(0.0, base), make_frame(100_000 / 145.0, base))
     long_out = resample(
-        PelletTrajectory(
-            speaker_id="s",
-            utterance_id="u",
-            frames=span_frames,
-            native_rate=145.0 / 100_000,
-        ),
-        145.0,
+        pellet_trajectory(span_frames, "s", "u", 145.0 / 100_000), 145.0
     )
     assert len(long_out.frames) == 100_001
     times = np.array([f.t for f in long_out.frames], dtype=np.float64)
@@ -367,28 +347,16 @@ def test_criterion_9_throughput_budget():
     dy = 0.8 * np.cos(phase)
     base = reference_pellets()
     moving = ("T1", "T2", "T3", "T4")
-    coords = {}
-    for name in PELLET_NAMES:
+    xy = np.empty((n, len(PELLET_NAMES), 2))
+    for k, name in enumerate(PELLET_NAMES):
         x0, y0 = base[name]
         if name in moving:
-            coords[name.lower()] = (x0 + dx, y0 + dy)
+            xy[:, k, 0] = x0 + dx
+            xy[:, k, 1] = y0 + dy
         else:
-            coords[name.lower()] = (np.full(n, x0), np.full(n, y0))
-    valid = frozenset(PELLET_NAMES)
-    frames = [
-        PelletFrame(
-            t=float(t[i]),
-            valid=valid,
-            **{
-                lname: Point2D(float(ax[i]), float(ay[i]))
-                for lname, (ax, ay) in coords.items()
-            },
-        )
-        for i in range(n)
-    ]
-    traj = PelletTrajectory(
-        speaker_id="perf", utterance_id="u", frames=tuple(frames), native_rate=145.0
-    )
+            xy[:, k] = (x0, y0)
+    valid = np.ones((n, len(PELLET_NAMES)), dtype=bool)
+    traj = PelletTrajectory("perf", "u", t, xy, valid, 145.0)
 
     start = time.perf_counter()
     tvs = compute_trajectory(traj, anat)

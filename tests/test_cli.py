@@ -133,6 +133,34 @@ class TestRun:
         for k, t in enumerate(times):
             assert t == k / 72.5
 
+    def test_info_line_counts_interpolated_pellets(self, tmp_path, caplog):
+        # 30 frames at 145 Hz span 0.2 s: 21 samples at 100 Hz, of which
+        # only t = 0 and t = 0.2 fall on input times, so 19 samples of
+        # each of the 8 pellets are interpolated.
+        manifest = write_speaker_fixture(tmp_path / "data")
+        caplog.set_level(logging.INFO, logger="tractvar")
+        rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out",
+                     "--rate", 100)
+        assert rc == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "tractvar.pipeline"]
+        assert lines == [
+            "synth/utt00: 30 frames in, 21 out, 0 mistracked, 152 pellets interpolated"
+        ]
+
+    @pytest.mark.parametrize(
+        "rate, size", [("1e300", "2.062e+300"), ("1e308", "inf")], ids=["1e300", "1e308"]
+    )
+    def test_huge_rate_is_data_error(self, tmp_path, caplog, rate, size):
+        # 300 frames at 145 Hz span 2.06 s, so at 1e308 Hz the grid size
+        # overflows to inf; no grid is allocated either way.
+        manifest = write_speaker_fixture(tmp_path / "data", n_frames=300)
+        out = tmp_path / "out"
+        assert run_cli("run", "--manifest", manifest, "--out", out, "--rate", rate) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert f"needs a grid of {size} samples, more than the limit" in errors[0]
+        assert not (out / "utt00.tv.csv").exists()
+
     def test_plots_flag(self, tmp_path):
         manifest = write_speaker_fixture(tmp_path / "data")
         out = tmp_path / "out"
@@ -267,6 +295,15 @@ class TestRunRejectsBadConfig:
             assert rc == 1
             self.assert_one_line_error(caplog, "thickness_mm")
 
+    def test_speaker_id_cannot_leave_the_output_dir(self, tmp_path, caplog):
+        manifest = write_speaker_fixture(tmp_path / "data", speaker_id="../evil")
+        out = tmp_path / "data" / "out"
+        for command in ("run", "anatomy"):
+            caplog.clear()
+            assert run_cli(command, "--manifest", manifest, "--out", out) == 1
+            self.assert_one_line_error(caplog, "must be a plain file name")
+        assert list(tmp_path.glob("**/*.anatomy.json")) == []
+
     def test_shared_utterance_stem(self, tmp_path, caplog):
         # Two speakers that both list utt00.csv would write one utt00.tv.csv.
         root = tmp_path / "data"
@@ -358,7 +395,7 @@ class TestAtomicOutputs:
         # A quality code with no label fails the writer on its last row,
         # after the earlier rows went out.
         n = 2000
-        tvs = TvTrajectory.from_columns(
+        tvs = TvTrajectory(
             "s",
             np.arange(n) / 145.0,
             np.ones((n, 6)),

@@ -15,12 +15,16 @@ from tractvar.geometry import (
     Circle,
     Point2D,
     Polyline,
-    angle_from_reference,
     circle_polyline_clearance,
     circumcircle,
     distance,
     extend_line_to_polyline,
     fit_circle,
+)
+
+import reference
+from reference import (
+    angle_from_reference,
     point_polyline_clearance,
     point_segment_distance,
 )
@@ -62,6 +66,17 @@ class TestPolyline:
         a = Polyline([P(0, 0), P(1, 1)])
         b = Polyline([P(0, 0), P(1, 1)])
         assert a == b and hash(a) == hash(b)
+
+    def test_nearest_many_matches_point_reference(self):
+        # Blocks of NEAREST_CHUNK points, a partial last block, and exact
+        # ties between segments (grid points against a square wave).
+        rng = np.random.default_rng(406)
+        trace = Polyline([P(-1, 1), P(1, 1), P(1, -1), P(3, -1), P(3, 1)])
+        px = np.concatenate([rng.uniform(-4, 6, 150), np.arange(-2.0, 5.0)])
+        py = np.concatenate([rng.uniform(-4, 4, 150), np.zeros(7)])
+        got = zip(*(a.tolist() for a in trace.nearest_many(px, py)))
+        want = [reference.nearest(trace, x, y) for x, y in zip(px, py)]
+        assert repr(list(got)) == repr(want)
 
 
 class TestDistance:
@@ -294,6 +309,24 @@ class TestFitCircle:
 
 
 class TestCirclePolylineClearance:
+    def test_matches_point_reference(self):
+        rng = np.random.default_rng(34)
+        trace = Polyline([P(-30, 10), P(-15, 14), P(0, 9), P(10, 12)])
+        for _ in range(300):
+            c = Circle(P(rng.uniform(-35, 15), rng.uniform(-10, 25)), rng.uniform(0.5, 8))
+            got = circle_polyline_clearance(c, trace)
+            assert repr(got) == repr(reference.circle_polyline_clearance(c, trace))
+            assert type(got.distance) is float and type(got.segment_index) is int
+
+    def test_center_on_trace_raises_reference_error(self):
+        trace = Polyline([P(-10, 8), P(10, 8)])
+        circle = Circle(P(2.5, 8), 1.0)
+        with pytest.raises(DegenerateAngle) as want:
+            reference.circle_polyline_clearance(circle, trace)
+        with pytest.raises(DegenerateAngle) as got:
+            circle_polyline_clearance(circle, trace)
+        assert str(got.value) == str(want.value)
+
     def test_gap_above(self):
         circle = Circle(P(0, 0), 5.0)
         trace = Polyline([P(-10, 8), P(10, 8)])

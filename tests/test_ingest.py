@@ -5,11 +5,14 @@ import json
 import logging
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tractvar.anatomy import Sex
 from tractvar.errors import (
     ConfigError,
+    DataError,
     DegenerateTrace,
     InsufficientData,
     ParseError,
@@ -25,9 +28,10 @@ from tractvar.ingest import (
     parse_pellet_file,
     parse_trace_file,
     resample,
-    write_pellet_file,
 )
 from tractvar.tract_variables import PELLET_NAMES
+
+from reference import pellet_trajectory, write_pellet_file
 
 from helpers import (
     make_frame,
@@ -205,6 +209,19 @@ class TestParsePelletFile:
             parse_pellet_file(path)
         assert len(calls) == (where == "end")
 
+    @pytest.mark.parametrize("line", [2, 150])
+    def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "utt.csv"
+        write_pellet_csv(path, pellet_rows(200))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = '"' + "x" * 200_000 + '"'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            parse_pellet_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: malformed CSV (field larger than field limit (131072))"
+        )
+
     def test_sentinel_marks_pellet_invalid(self, tmp_path):
         path = tmp_path / "utt.csv"
         write_pellet_csv(path, pellet_rows(5, invalid={2: ("T1",), 3: ("T1", "MNM")}))
@@ -248,12 +265,8 @@ class TestWritePelletFile:
                     assert b.pellet(name) == a.pellet(name)
 
     def test_invalid_pellets_written_as_sentinel(self, tmp_path):
-        traj = PelletTrajectory(
-            speaker_id="s",
-            utterance_id="u",
-            frames=(make_frame(0.0), make_frame(0.01, invalid={"T3"})),
-            native_rate=100.0,
-        )
+        frames = (make_frame(0.0), make_frame(0.01, invalid={"T3"}))
+        traj = pellet_trajectory(frames, "s", "u", 100.0)
         path = tmp_path / "out.csv"
         write_pellet_file(traj, path)
         lines = path.read_text().splitlines()
@@ -263,6 +276,14 @@ class TestWritePelletFile:
 
 
 class TestParseTraceFile:
+    def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path):
+        path = tmp_path / "pal.csv"
+        write_trace_csv(path, palate_coords())
+        with open(path, "a") as fh:
+            fh.write('"' + "1" * 200_000 + '",0\n')
+        with pytest.raises(ParseError, match=r"pal\.csv: malformed CSV \(field larger"):
+            parse_trace_file(path, "palate")
+
     def test_palate_loads_in_canonical_order(self, tmp_path):
         path = tmp_path / "pal.csv"
         write_trace_csv(path, palate_coords())
@@ -356,9 +377,7 @@ class TestResample:
         for k in range(n):
             coords = wobbled_pellets(2.0 * math.pi * k / n)
             frames.append(make_frame(k / rate, coords, invalid=invalid.get(k)))
-        return PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=tuple(frames), native_rate=rate
-        )
+        return pellet_trajectory(frames, "s", "u", rate)
 
     def test_grid_count_and_times(self):
         # 81 frames at 80 Hz span exactly 1 s; at 145 Hz that is 146 samples.
@@ -373,9 +392,7 @@ class TestResample:
     def test_constant_signal_reproduced_exactly(self):
         coords = reference_pellets()
         frames = tuple(make_frame(k / 80.0, coords) for k in range(41))
-        traj = PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=frames, native_rate=80.0
-        )
+        traj = pellet_trajectory(frames, "s", "u", 80.0)
         out = resample(traj, 145.0)
         for frame in out.frames:
             for name in PELLET_NAMES:
@@ -392,9 +409,7 @@ class TestResample:
             t = k / 80.0
             coords = {name: (x + a * t, y + b * t) for name, (x, y) in base.items()}
             frames.append(make_frame(t, coords))
-        traj = PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=tuple(frames), native_rate=80.0
-        )
+        traj = pellet_trajectory(frames, "s", "u", 80.0)
         out = resample(traj, 145.0)
         for frame in out.frames:
             for name in PELLET_NAMES:
@@ -443,9 +458,7 @@ class TestResample:
             x0, y0 = base["T2"]
             coords["T2"] = (x0 + t, y0) if k != 4 else (777777.0, 999999.0)
             frames.append(make_frame(t, coords, invalid={"T2"} if k == 4 else None))
-        traj = PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=tuple(frames), native_rate=rate
-        )
+        traj = pellet_trajectory(frames, "s", "u", rate)
         out = resample(traj, 160.0)
         x0, _ = base["T2"]
         for frame in out.frames:
@@ -464,9 +477,7 @@ class TestResample:
         # Span 0.9999 s at 145 Hz gives floor(144.985) + 1 = 145 samples.
         frames = [make_frame(k / 100.0, reference_pellets()) for k in range(100)]
         frames.append(make_frame(0.9999, reference_pellets()))
-        traj = PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=tuple(frames), native_rate=100.0
-        )
+        traj = pellet_trajectory(frames, "s", "u", 100.0)
         out = resample(traj, 145.0)
         assert len(out.frames) == 145
         assert out.frames[-1].t <= 0.9999
@@ -475,20 +486,13 @@ class TestResample:
         # Span 1/3 at 3 Hz: the float product is just below 1.0 and the
         # epsilon guard must keep the endpoint sample.
         frames = (make_frame(0.0), make_frame(1.0 / 3.0))
-        traj = PelletTrajectory(
-            speaker_id="s", utterance_id="u", frames=frames, native_rate=3.0
-        )
+        traj = pellet_trajectory(frames, "s", "u", 3.0)
         out = resample(traj, 3.0)
         assert len(out.frames) == 2
         assert out.frames[1].t == 1.0 / 3.0
 
     def test_single_frame_insufficient(self):
-        traj = PelletTrajectory(
-            speaker_id="s",
-            utterance_id="solo",
-            frames=(make_frame(0.0),),
-            native_rate=100.0,
-        )
+        traj = pellet_trajectory((make_frame(0.0),), "s", "solo", 100.0)
         with pytest.raises(InsufficientData, match="solo"):
             resample(traj, 145.0)
 
@@ -498,12 +502,91 @@ class TestResample:
         with pytest.raises(InsufficientData, match="T3"):
             resample(traj, 145.0)
 
+    @pytest.mark.parametrize(
+        "rate, size", [(1e300, "2.487e+300"), (1e308, "inf")], ids=["1e300", "1e308"]
+    )
+    def test_huge_rate_is_data_error(self, rate, size):
+        # 200 frames at 80 Hz span 2.4875 s, so at 1e308 Hz the grid size
+        # overflows to inf.  Nothing is allocated: the size is checked as a
+        # float first.
+        traj = self.make_traj(200, 80.0)
+        with pytest.raises(DataError) as excinfo:
+            resample(traj, rate)
+        assert str(excinfo.value) == (
+            f"u: resampling 2.4875 s at {rate:g} Hz needs a grid of {size} "
+            f"samples, more than the limit of 10,000,000"
+        )
+
+    def test_grid_size_limit_is_inclusive(self, monkeypatch):
+        # 81 frames at 80 Hz span 1 s: 146 samples at 145 Hz.
+        traj = self.make_traj(81, 80.0)
+        monkeypatch.setattr(ingest, "MAX_GRID_SAMPLES", 146)
+        assert len(resample(traj, 145.0)) == 146
+        monkeypatch.setattr(ingest, "MAX_GRID_SAMPLES", 145)
+        with pytest.raises(DataError, match="needs a grid of 146 samples"):
+            resample(traj, 145.0)
+
     def test_bad_target_rate(self):
         traj = self.make_traj(5, 80.0)
         with pytest.raises(ValueError):
             resample(traj, 0.0)
         with pytest.raises(ValueError):
             resample(traj, -10.0)
+
+
+class TestResampleProperties:
+    @staticmethod
+    def columns(times, seed):
+        """Random coordinates, and validity with every pellet valid in the
+        first and last frames, so that each can be interpolated."""
+        rng = np.random.default_rng(seed)
+        n = len(times)
+        xy = rng.uniform(-50.0, 50.0, size=(n, len(PELLET_NAMES), 2))
+        valid = rng.random((n, len(PELLET_NAMES))) < 0.7
+        valid[[0, -1]] = True
+        return PelletTrajectory("s", "u", np.array(times), xy, valid, 100.0)
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        rate=st.sampled_from([72.5, 100.0, 145.0, 400.0]),
+        t0=st.sampled_from([0.0, 0.25, 1.0 / 3.0, 12.5]),
+        steps=st.lists(st.integers(1, 4), min_size=1, max_size=30),
+        between=st.lists(st.booleans(), min_size=31, max_size=31),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grid_hits_reproduce_input_bits(self, rate, t0, steps, between, seed):
+        # Input times on the output grid, computed as `resample` computes
+        # it, some with an off-grid time inserted before them.
+        marks = np.cumsum([0, *steps]).tolist()
+        times = [t0]
+        for j, insert in zip(marks[1:], between):
+            if insert:
+                times.append(t0 + (j - 0.5) / rate)
+            times.append(t0 + j / rate)
+        traj = self.columns(times, seed)
+        out = resample(traj, rate)
+        hits = np.flatnonzero(np.isin(out.t, traj.t))
+        assert set(marks) <= set(hits.tolist())
+        raw = np.searchsorted(traj.t, out.t[hits])
+        assert (out.valid[hits] == traj.valid[raw]).all()
+        ok = traj.valid[raw]
+        assert (out.xy[hits][ok].view(np.int64) == traj.xy[raw][ok].view(np.int64)).all()
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        gaps=st.lists(st.floats(0.001, 0.05), min_size=1, max_size=40),
+        t0=st.floats(0.0, 10.0),
+        rate=st.floats(20.0, 500.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invalid_exactly_when_interval_touches_invalid(self, gaps, t0, rate, seed):
+        traj = self.columns((t0 + np.cumsum([0.0, *gaps])).tolist(), seed)
+        out = resample(traj, rate)
+        raw_times = traj.t.tolist()
+        for k in range(len(PELLET_NAMES)):
+            raw_valid = traj.valid[:, k].tolist()
+            expect = [oracle_validity(raw_times, raw_valid, t) for t in out.t.tolist()]
+            assert out.valid[:, k].tolist() == expect
 
 
 class TestLoadManifest:
@@ -595,6 +678,17 @@ class TestLoadManifest:
         payload = [self.entry(), self.entry(utterances=["utt/tp205.csv"])]
         with pytest.raises(ConfigError, match="speaker_id 'jw11' is listed twice"):
             load_manifest(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "speaker_id", ["../evil", "a/b", "/abs", "a\\b", "a\0b", ".", ".."]
+    )
+    def test_speaker_id_must_be_a_plain_file_name(self, tmp_path, speaker_id):
+        with pytest.raises(ConfigError, match="must be a plain file name"):
+            load_manifest(self.write(tmp_path, self.entry(speaker_id=speaker_id)))
+
+    def test_speaker_id_with_dots_inside_is_accepted(self, tmp_path):
+        specs = load_manifest(self.write(tmp_path, self.entry(speaker_id="jw11..v2")))
+        assert specs[0].speaker_id == "jw11..v2"
 
     def test_empty_speaker_id(self, tmp_path):
         with pytest.raises(ConfigError, match="speaker_id"):

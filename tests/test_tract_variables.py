@@ -19,29 +19,26 @@ from helpers import (
     synthetic_anatomy,
     wobbled_pellets,
 )
-from tractvar.errors import CollinearPoints, DegenerateAngle
-from tractvar.geometry import (
-    Point2D,
-    Polyline,
+from reference import (
     angle_from_reference,
-    point_polyline_clearance,
-)
-from tractvar.ingest import PelletTrajectory
-from tractvar.tract_variables import (
-    PELLET_NAMES,
-    PelletFrame,
-    Quality,
-    TractVariableFrame,
-    TvOptions,
-    TvTrajectory,
     compute_frame,
     compute_la,
     compute_lp,
     compute_tongue_body_tvs,
     compute_tongue_tip_tvs,
-    compute_trajectory,
     fallback_tongue_body_tvs,
+    pellet_trajectory,
+    point_polyline_clearance,
     tongue_body_circle,
+    tv_trajectory,
+)
+from tractvar.errors import CollinearPoints, DegenerateAngle
+from tractvar.geometry import Point2D, Polyline
+from tractvar.tract_variables import (
+    PELLET_NAMES,
+    Quality,
+    TractVariableFrame,
+    compute_trajectory,
 )
 
 
@@ -108,7 +105,7 @@ class TestTongueBodyTvs:
         coords["T3"] = (cx, cy - 15.0)
         coords["T4"] = (cx - 15.0, cy)
         frame = make_frame(0.0, coords)
-        tbcd, _ = compute_tongue_body_tvs(frame, anatomy, TvOptions(clamp_tbcd=True))
+        tbcd, _ = compute_tongue_body_tvs(frame, anatomy, clamp_tbcd=True)
         assert tbcd == 0.0
 
     def test_fallback_matches_pellet_scan(self, anatomy):
@@ -216,14 +213,10 @@ class TestComputeFrame:
 
 class TestTrajectory:
     def _pellet_trajectory(self, n, rate=145.0):
-        from tractvar.ingest import PelletTrajectory
-
         frames = tuple(
             make_frame(k / rate, wobbled_pellets(0.17 * k)) for k in range(n)
         )
-        return PelletTrajectory(
-            speaker_id="synth", utterance_id="u0", frames=frames, native_rate=rate
-        )
+        return pellet_trajectory(frames, utterance_id="u0", native_rate=rate)
 
     def test_maps_frames_one_to_one(self, anatomy):
         traj = self._pellet_trajectory(24)
@@ -234,11 +227,7 @@ class TestTrajectory:
         assert [f.t for f in tvs.frames] == [f.t for f in traj.frames]
 
     def test_empty_trajectory(self, anatomy):
-        from tractvar.ingest import PelletTrajectory
-
-        empty = PelletTrajectory(
-            speaker_id="synth", utterance_id="u0", frames=(), native_rate=145.0
-        )
+        empty = pellet_trajectory((), utterance_id="u0")
         tvs = compute_trajectory(empty, anatomy)
         assert tvs.frames == ()
 
@@ -258,9 +247,9 @@ class TestTrajectory:
             quality=Quality.OK,
         )
         with pytest.raises(ValueError):
-            TvTrajectory(speaker_id="s", frames=(good, off), sample_rate=145.0)
+            tv_trajectory((good, off), sample_rate=145.0)
         with pytest.raises(ValueError):
-            TvTrajectory(speaker_id="s", frames=(), sample_rate=0.0)
+            tv_trajectory((), sample_rate=0.0)
 
     def test_pellet_positions_never_read_when_invalid(self, anatomy):
         # An invalid pellet may carry sentinel coordinates; the result for
@@ -276,16 +265,14 @@ class TestTrajectory:
 
 
 def trajectory_of(frames, rate=145.0):
-    return PelletTrajectory(
-        speaker_id="synth", utterance_id="u", frames=tuple(frames), native_rate=rate
-    )
+    return pellet_trajectory(frames, native_rate=rate)
 
 
-def assert_matches_scalar(traj, anat, options=TvOptions()):
+def assert_matches_scalar(traj, anat, clamp_tbcd=False):
     """The batched frames equal the scalar reference's, bit for bit (repr
     tells every double apart, including -0.0 from 0.0)."""
-    batched = compute_trajectory(traj, anat, options).frames
-    scalar = [compute_frame(f, anat, options) for f in traj.frames]
+    batched = compute_trajectory(traj, anat, clamp_tbcd=clamp_tbcd).frames
+    scalar = [compute_frame(f, anat, clamp_tbcd) for f in traj.frames]
     assert [repr(f) for f in batched] == [repr(f) for f in scalar]
     return batched
 
@@ -360,9 +347,7 @@ class TestBatchedMatchesScalar:
             elif k % 5 == 2:
                 coords = penetrating_tongue(coords)
             frames.append(make_frame(k / 145.0, coords, invalid=invalid))
-        batched = assert_matches_scalar(
-            trajectory_of(frames), anatomy, TvOptions(clamp_tbcd=clamp)
-        )
+        batched = assert_matches_scalar(trajectory_of(frames), anatomy, clamp)
         qualities = {f.quality for f in batched}
         assert qualities == set(Quality)
         tbcds = [f.tbcd for f in batched if f.tbcd is not None]
@@ -379,6 +364,104 @@ class TestBatchedMatchesScalar:
         with pytest.raises(DegenerateAngle) as batched:
             compute_trajectory(trajectory_of(frames), anatomy)
         assert str(batched.value) == str(scalar.value)
+
+
+# A flat palate 10 mm above the reference center, and tongue postures
+# built to fail each check `compute_trajectory` makes before it measures
+# an angle.  The checks run in this order within a frame.
+ON_TRACE = "trace passes through the circle center; boundary point undefined"
+ON_CENTER = "point (-20.0, 10.0) coincides with the reference center"
+
+
+def flat_anatomy(anatomy):
+    return dataclasses.replace(
+        anatomy,
+        extended_palate=Polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
+        reference_center=Point2D(-20.0, 10.0),
+    )
+
+
+def degenerate_coords(*faults):
+    coords = dict(reference_pellets())
+    if "on_trace" in faults:
+        # Circle of radius 5 about (-20, 20), a point of the palate.
+        coords.update(T2=(-15.0, 20.0), T3=(-20.0, 15.0), T4=(-25.0, 20.0))
+    if "contact" in faults:
+        # Circle of radius 5 about (-20, 5): it meets the palate's nearest
+        # point (-20, 20) along the ray through the center (-20, 10).
+        coords.update(T2=(-15.0, 5.0), T3=(-20.0, 0.0), T4=(-25.0, 5.0))
+    if "fallback" in faults:
+        # Collinear and equally far from the palate, so T2 is picked.
+        coords.update(T2=(-20.0, 10.0), T3=(-25.0, 10.0), T4=(-30.0, 10.0))
+    if "tip" in faults:
+        coords["T1"] = (-20.0, 10.0)
+    return coords
+
+
+def assert_same_error(frames, anat):
+    """compute_trajectory raises what the reference raises first, frame by
+    frame; returns the message."""
+    with pytest.raises(DegenerateAngle) as scalar:
+        for frame in frames:
+            compute_frame(frame, anat)
+    with pytest.raises(DegenerateAngle) as batched:
+        compute_trajectory(trajectory_of(frames), anat)
+    assert type(batched.value) is type(scalar.value)
+    assert str(batched.value) == str(scalar.value)
+    return str(scalar.value)
+
+
+class TestDegenerateAngle:
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            (("on_trace",), ON_TRACE),
+            (("contact",), ON_CENTER),
+            (("fallback",), ON_CENTER),
+            (("tip",), ON_CENTER),
+            (("on_trace", "tip"), ON_TRACE),
+        ],
+        ids=["circle-center-on-palate", "contact-on-center", "fallback-on-center",
+             "t1-on-center", "two-checks-in-one-frame"],
+    )
+    def test_each_check_raises_the_reference_error(self, anatomy, faults, message):
+        frame = make_frame(3 / 145.0, degenerate_coords(*faults))
+        # Each posture reaches the check it is named after: a tongue-body
+        # circle exists exactly when the fallback is not named.
+        if "fallback" in faults:
+            with pytest.raises(CollinearPoints):
+                tongue_body_circle(frame)
+        else:
+            tongue_body_circle(frame)
+        frames = [make_frame(k / 145.0) for k in range(3)] + [frame]
+        assert assert_same_error(frames, flat_anatomy(anatomy)) == message
+
+    def test_earliest_frame_wins_over_check_order(self, anatomy):
+        # Frame 2 fails only the last check and frame 4 the first one.
+        frames = [make_frame(k / 145.0) for k in range(6)]
+        frames[2] = make_frame(2 / 145.0, degenerate_coords("tip"))
+        frames[4] = make_frame(4 / 145.0, degenerate_coords("on_trace"))
+        assert assert_same_error(frames, flat_anatomy(anatomy)) == ON_CENTER
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        postures=st.lists(
+            st.sets(st.sampled_from(["on_trace", "contact", "fallback", "tip"]), max_size=2),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_mixed_runs_match_the_reference(self, anatomy, postures):
+        anat = flat_anatomy(anatomy)
+        frames = [
+            # Of two tongue postures, `degenerate_coords` keeps the later.
+            make_frame(k / 145.0, degenerate_coords(*faults))
+            for k, faults in enumerate(postures)
+        ]
+        if any(postures):
+            assert_same_error(frames, anat)
+        else:
+            assert_matches_scalar(trajectory_of(frames), anat)
 
 
 coordinate = st.floats(-60.0, 20.0, allow_nan=False)
@@ -409,7 +492,7 @@ class TestBatchedProperties:
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(rows=pellet_frames, clamp=st.booleans())
     def test_batched_equals_scalar(self, anatomy, rows, clamp):
-        assert_matches_scalar(self.build(rows), anatomy, TvOptions(clamp_tbcd=clamp))
+        assert_matches_scalar(self.build(rows), anatomy, clamp)
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(rows=pellet_frames)

@@ -33,7 +33,7 @@ def sample_trajectory(n=6):
     values[1:2, :2] = math.nan
     quality[4:5] = DEGENERATE
     values[4:5, 2:] = math.nan
-    return TvTrajectory.from_columns("s", np.arange(n) / 145.0, values, quality, 145.0)
+    return TvTrajectory("s", np.arange(n) / 145.0, values, quality, 145.0)
 
 
 def outcome(read, path):
@@ -117,6 +117,19 @@ class TestReadTvCsv:
             fh.write(b"\xff\xfe")
         with pytest.raises(ParseError, match="not UTF-8"):
             read_tv_csv(path)
+
+    @pytest.mark.parametrize(
+        "token", ['"' + "x" * 200_000 + '"', "1" * 200_000], ids=["quoted", "digits"]
+    )
+    def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path, token):
+        # The digits pass the fast reader's byte filter and parse to inf,
+        # so both cells end in the per-cell reader's `csv.reader`.
+        path = self.write_with_cells(tmp_path, 4, LA=token)
+        with pytest.raises(ParseError) as excinfo:
+            read_tv_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: malformed CSV (field larger than field limit (131072))"
+        )
 
 
 # Edits that make a TV file irregular or bad.  Each is applied to one
@@ -218,7 +231,7 @@ def trajectories(draw):
     ).reshape(n, 6)
     values[absent & (quality != OK)[:, None]] = math.nan
     t = t0 + np.arange(n) / rate
-    return TvTrajectory.from_columns("s", t, values, quality, rate)
+    return TvTrajectory("s", t, values, quality, rate)
 
 
 @settings(
