@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--plots", action="store_true",
                      help="also write SVG figures")
     run.add_argument("--parallelism", type=int, default=1,
-                     help="utterance worker count (default 1)")
+                     help="worker processes for utterances (default 1)")
 
     cmp_p = sub.add_parser("compare", help="correlate two TV files")
     cmp_p.add_argument("file_a", type=Path)

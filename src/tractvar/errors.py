@@ -32,7 +32,16 @@ class NoIntersection(DataError):
 
 
 class DegenerateAngle(DataError):
-    """An angle is requested for a point sitting on its reference center."""
+    """An angle is requested for a point sitting on its reference center.
+
+    `frame` and `t` name the failing frame (its index and time in
+    seconds) when the error comes from a trajectory, else they are None.
+    """
+
+    def __init__(self, message, frame=None, t=None):
+        super().__init__(message)
+        self.frame = frame
+        self.t = t
 
 
 class AnatomyInconsistent(DataError):

@@ -21,7 +21,6 @@ relative to the manifest file.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .geometry import Point2D, Polyline
 from .tract_variables import PELLET_NAMES, PelletFrame
-from .tvcsv import open_text, parse_float
+from .tvcsv import open_csv, parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +138,7 @@ def _raise_first_bad_cell(path: Path) -> None:
     ParseError for the first bad one: a row of the wrong width, a cell
     that is not a finite number, or a time that does not increase.  Text
     that is not UTF-8 raises ParseError too."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         next(reader)
         prev_t = None
         for line_no, row in enumerate(reader, start=2):
@@ -181,8 +179,7 @@ def parse_pellet_file(
     path = Path(path)
     width = len(PELLET_HEADER)
     cells = array("d")
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -239,8 +236,7 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
     path = Path(path)
     points: list[Point2D] = []
     dropped = 0
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -1,22 +1,22 @@
 """Batch processing: manifest in, per-utterance TV files out.
 
 Utterances are independent of each other.  With parallelism 1 they run
-one after another in the calling thread; above 1 they share one thread
-pool for the whole run.  Every output is a pure function of its own
-input file plus the speaker anatomy, which keeps results byte-identical
-at any parallelism level.
+one after another in the calling thread; above 1 the run forks one pool
+of worker processes, at most one per utterance.  Every output is a pure
+function of its own input file plus the speaker anatomy, which keeps
+results byte-identical at any parallelism level.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .anatomy import SpeakerAnatomy, build_speaker_anatomy
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateAngle
 from .ingest import (
     SpeakerSpec,
     TARGET_RATE_HZ,
@@ -142,6 +142,12 @@ def _attempt_utterance(
     names what went wrong."""
     try:
         _process_utterance(spec, anat, utterance_path, config)
+    except DegenerateAngle as exc:
+        logger.error(
+            "utterance %s: frame %s (t = %r s): %s",
+            utterance_path, exc.frame, exc.t, exc,
+        )
+        return EXIT_DATA
     except OSError as exc:
         logger.error("utterance %s: %s", utterance_path, exc)
         return EXIT_CONFIG
@@ -151,12 +157,27 @@ def _attempt_utterance(
     return EXIT_OK
 
 
+def _utterance_jobs(
+    speakers: list[SpeakerSpec], config: RunConfig, codes: list[int]
+) -> Iterator[tuple[SpeakerSpec, SpeakerAnatomy, Path]]:
+    """Yield (spec, anatomy, path) for each utterance, preparing each
+    speaker's anatomy when its turn comes and appending its exit code to
+    `codes`.  A speaker whose anatomy fails yields nothing."""
+    for spec in speakers:
+        anat, code = _prepare_speaker(spec, config.output_dir, config.plots)
+        codes.append(code)
+        if anat is not None:
+            for path in spec.utterance_paths:
+                yield spec, anat, path
+
+
 def run_pipeline(config: RunConfig) -> int:
     """Process every speaker and utterance in the manifest.
 
     Speaker-level anatomy failures skip that speaker's utterances and
     force a nonzero exit.  Individual utterance failures are logged and
     skipped; they only force a nonzero exit when every utterance failed.
+    A worker process that dies ends the run with exit 1.
     Exit codes: 0 success, 1 configuration or I/O trouble, 2 bad data.
     """
     speakers = _load_speakers(config.manifest_path)
@@ -165,30 +186,27 @@ def run_pipeline(config: RunConfig) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     codes = [EXIT_OK]
-    outcomes: list[int] = []
-    pending: list[Future] = []
-    pool = (
-        ThreadPoolExecutor(max_workers=config.parallelism)
-        if config.parallelism > 1
-        else None
-    )
-    try:
-        for spec in speakers:
-            anat, code = _prepare_speaker(spec, config.output_dir, config.plots)
-            codes.append(code)
-            if anat is None:
-                continue
-            for path in spec.utterance_paths:
-                if pool is None:
-                    outcomes.append(_attempt_utterance(spec, anat, path, config))
-                else:
-                    pending.append(
-                        pool.submit(_attempt_utterance, spec, anat, path, config)
-                    )
-        outcomes.extend(future.result() for future in pending)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    jobs = _utterance_jobs(speakers, config, codes)
+    workers = min(config.parallelism, sum(len(s.utterance_paths) for s in speakers))
+    if workers < 2:
+        outcomes = [_attempt_utterance(*job, config) for job in jobs]
+    else:
+        # Imported here so that serial runs never load them.  Forked
+        # workers inherit the loaded modules and the logging setup, where
+        # spawned ones would import numpy again each.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                pending = [pool.submit(_attempt_utterance, *job, config) for job in jobs]
+                outcomes = [future.result() for future in pending]
+        except BrokenProcessPool as exc:
+            logger.error("run failed: a worker process died (%s)", exc)
+            return EXIT_CONFIG
 
     # A failed utterance only fails the run through I/O trouble, or when
     # no utterance succeeded at all.

@@ -229,7 +229,8 @@ def compute_trajectory(
     the extended palate passes through the tongue-body circle's center,
     or the circle's contact point, the collinear-fallback pellet or T1
     sits on the reference center.  The error describes the first such
-    frame, and within it the first of these checks, in that order.
+    frame, and within it the first of these checks, in that order; its
+    `frame` and `t` attributes name that frame.
     """
     xy = trajectory.xy
     valid = trajectory.valid
@@ -302,7 +303,8 @@ def compute_trajectory(
 
     if faults:
         # `min` keeps the first of equal frames, which is the earlier check.
-        raise DegenerateAngle(min(faults, key=lambda fault: fault[0])[1])
+        k, message = min(faults, key=lambda fault: fault[0])
+        raise DegenerateAngle(message, frame=k, t=float(trajectory.t[k]))
 
     quality = np.full(n, _QUALITY_CODE[Quality.OK], dtype=np.int8)
     quality[flat] = _QUALITY_CODE[Quality.DEGENERATE_TONGUE]

@@ -9,7 +9,7 @@ degrees; readers do not convert.
 Every writer here replaces its target atomically: an interrupted or
 failed write leaves either the old file or none, never a truncated one.
 The TV reader rejects a malformed file with a ParseError naming its
-line and column; `open_text` and `parse_float` give the pellet and
+line and column; `open_csv` and `parse_float` give the pellet and
 trace readers the same UTF-8, CSV and cell checks.
 """
 
@@ -84,20 +84,22 @@ _FAST_TV_BYTES = b"0123456789+-.,e\r\n" + "".join(_LABEL_CODE).encode()
 
 
 @contextmanager
-def open_text(path: str | Path) -> Iterator[TextIO]:
-    """Open a data file for `csv` reading as UTF-8 text.
+def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
+    """Open a data file as UTF-8 text and yield a `csv.reader` over it.
 
-    Bytes that are not UTF-8, and text that `csv` cannot split (such as
-    a cell longer than its field size limit), raise ParseError naming
-    the file, whether they surface on opening or while the block reads.
+    Bytes that are not UTF-8 raise ParseError naming the file, and text
+    that `csv` cannot split (such as a cell longer than its field size
+    limit) raises ParseError naming the file and line, when the block
+    reads them.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV ({exc})", path) from None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV ({exc})", path, reader.line_num) from None
 
 
 def parse_float(token: str, path: Path, line: int, column: str) -> float:
@@ -184,8 +186,7 @@ def _read_tv_cells(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     times: list[float] = []
     values: list[float] = []
     quality: list[int] = []
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

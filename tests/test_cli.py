@@ -1,14 +1,19 @@
 """End-to-end command line tests over the synthetic speaker fixture."""
 
+import concurrent.futures
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tractvar
 from tractvar import pipeline
 from tractvar.cli import main
 from tractvar.compare import ComparisonReport, compare_tvs, ppmc
@@ -24,6 +29,7 @@ from helpers import (
     palate_coords,
     read_tv_columns,
     reference_pellets,
+    synthetic_anatomy,
     wall_coords,
     write_pellet_csv,
     write_speaker_fixture,
@@ -33,6 +39,24 @@ from helpers import (
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_python(*argv, **env):
+    """Run a fresh interpreter that can import this package."""
+    src = str(Path(tractvar.__file__).parent.parent)
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def run_cli_process(*args, **env):
+    """Run the command line in a fresh interpreter; returns the exit code
+    and the lines it wrote to stderr."""
+    proc = run_python("-m", "tractvar.cli", *args, **{"TRACTVAR_LOG": "warn", **env})
+    return proc.returncode, proc.stderr.splitlines()
 
 
 def write_manifest(root, entry):
@@ -252,6 +276,27 @@ class TestRun:
         rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
         assert rc == 1
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_degenerate_angle_names_frame_and_time(self, tmp_path, parallelism):
+        # T1 on the reference center in frame 3 of utt01 leaves TTCL
+        # undefined; utt00 still succeeds, so the run exits 0.
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        center = synthetic_anatomy().reference_center
+        rows = [(k / 145.0, reference_pellets()) for k in range(10)]
+        rows[3] = (3 / 145.0, {**reference_pellets(), "T1": (center.x, center.y)})
+        write_pellet_csv(root / "utt01.csv", rows)
+        rc, lines = run_cli_process(
+            "run", "--manifest", manifest, "--out", tmp_path / "out",
+            "--parallelism", parallelism,
+        )
+        assert rc == 0
+        assert lines == [
+            f"ERROR tractvar.pipeline: utterance {root / 'utt01.csv'}: "
+            f"frame 3 (t = {3 / 145.0!r} s): "
+            f"point ({center.x!r}, {center.y!r}) coincides with the reference center"
+        ]
+
     def test_parallel_matches_serial(self, tmp_path):
         root = tmp_path / "data"
         manifest = write_speaker_fixture(root, n_utterances=3, constant=False)
@@ -326,6 +371,31 @@ class TestRunRejectsBadConfig:
         assert not (out / "utt00.tv.csv").exists()
 
 
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """The real process pool, recording each construction."""
+
+    built: list[dict] = []
+
+    def __init__(self, max_workers=None, mp_context=None, **kwargs):
+        self.built.append({"max_workers": max_workers, "context": mp_context})
+        super().__init__(max_workers, mp_context, **kwargs)
+
+
+class InlinePool(concurrent.futures.Executor):
+    """Records its size and runs each task at once in the calling
+    process, so that no worker is ever started."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.built.append(max_workers)
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class TestExecutor:
     @staticmethod
     def two_speaker_manifest(root):
@@ -345,39 +415,138 @@ class TestExecutor:
             ],
         )
 
-    def test_serial_in_caller_thread_parallel_in_one_pool(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Record every pool built, process or thread; return the list
+        of process pools."""
         threads = []
+
+        class RecordingThreads(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                threads.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(RecordingPool, "built", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingThreads)
+        yield RecordingPool.built
+        assert threads == []
+
+    @staticmethod
+    def spy_on_workers(monkeypatch, log):
+        """Make each compute_trajectory call append its process and thread
+        to `log`, a file, so that calls in worker processes are seen."""
         real_compute = pipeline.compute_trajectory
 
         def spy(*args, **kwargs):
-            threads.append(threading.get_ident())
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {threading.get_ident()}\n")
             return real_compute(*args, **kwargs)
 
-        pools = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
         monkeypatch.setattr(pipeline, "compute_trajectory", spy)
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+
+    def test_serial_in_caller_thread_parallel_in_one_pool(
+        self, tmp_path, monkeypatch, pools
+    ):
+        log = tmp_path / "calls.txt"
+        self.spy_on_workers(monkeypatch, log)
         manifest = self.two_speaker_manifest(tmp_path / "data")
 
         assert run_cli("run", "--manifest", manifest, "--out", tmp_path / "p1") == 0
-        assert threads == [threading.get_ident()] * 4
+        here = f"{os.getpid()} {threading.get_ident()}"
+        assert log.read_text().splitlines() == [here] * 4
         assert pools == []
 
-        threads.clear()
+        log.unlink()
         assert run_cli(
             "run", "--manifest", manifest, "--out", tmp_path / "p2",
             "--parallelism", 2,
         ) == 0
-        assert len(threads) == 4 and threading.get_ident() not in threads
-        assert len(pools) == 1
+        pids = [int(line.split()[0]) for line in log.read_text().splitlines()]
+        assert len(pids) == 4 and os.getpid() not in pids
+        assert len(pools) == 1 and pools[0]["max_workers"] == 2
+        assert pools[0]["context"].get_start_method() == "fork"
         for u in range(4):
             name = f"utt{u:02d}.tv.csv"
             assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+    def test_workers_capped_at_utterance_count(self, tmp_path, pools):
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        out = tmp_path / "p8"
+        assert run_cli("run", "--manifest", manifest, "--out", out, "--parallelism", 8) == 0
+        assert [pool["max_workers"] for pool in pools] == [4]
+        assert len(list(out.glob("*.tv.csv"))) == 4
+
+    def test_huge_parallelism_is_capped_before_the_pool_is_built(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(InlinePool, "built", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        out = tmp_path / "out"
+        assert run_cli(
+            "run", "--manifest", manifest, "--out", out, "--parallelism", 10**6
+        ) == 0
+        assert InlinePool.built == [4]
+        assert len(list(out.glob("*.tv.csv"))) == 4
+
+    def test_single_utterance_starts_no_pool(self, tmp_path, pools):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        out = tmp_path / "out"
+        assert run_cli("run", "--manifest", manifest, "--out", out, "--parallelism", 2) == 0
+        assert pools == []
+        assert (out / "utt00.tv.csv").exists()
+
+    def test_dead_worker_is_one_line_and_exit_1(self, tmp_path, monkeypatch, caplog):
+        # The patch is made before the pool forks, so workers inherit it.
+        real_process = pipeline._process_utterance
+
+        def dies_on_utt02(spec, anat, path, config):
+            if path.stem == "utt02":
+                os._exit(3)
+            return real_process(spec, anat, path, config)
+
+        monkeypatch.setattr(pipeline, "_process_utterance", dies_on_utt02)
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        assert run_cli(
+            "run", "--manifest", manifest, "--out", tmp_path / "out",
+            "--parallelism", 2,
+        ) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert errors[0].startswith("run failed: a worker process died (")
+        assert all(r.exc_info is None for r in caplog.records)
+
+    def test_info_lines_equal_at_p1_and_p2(self, tmp_path):
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        lines = {}
+        for n in (1, 2):
+            rc, lines[n] = run_cli_process(
+                "run", "--manifest", manifest, "--out", tmp_path / f"p{n}",
+                "--parallelism", n, TRACTVAR_LOG="info",
+            )
+            assert rc == 0
+        assert sorted(lines[2]) == sorted(lines[1])
+        stems = sorted(
+            line.split(":")[1].strip() for line in lines[1]
+            if line.startswith("INFO tractvar.pipeline:")
+        )
+        assert stems == ["a/utt00", "a/utt01", "b/utt02", "b/utt03"]
+
+    def test_serial_run_never_imports_multiprocessing(self, tmp_path):
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        script = (
+            "import sys\n"
+            "from tractvar.cli import main\n"
+            f"assert main(['run', '--manifest', {str(manifest)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('multiprocessing', 'concurrent'))))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert len(list((tmp_path / "out").glob("*.tv.csv"))) == 4
 
 
 class TestAtomicOutputs:

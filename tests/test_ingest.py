@@ -218,8 +218,9 @@ class TestParsePelletFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as excinfo:
             parse_pellet_file(path)
+        assert excinfo.value.line == line
         assert str(excinfo.value) == (
-            f"{path}: malformed CSV (field larger than field limit (131072))"
+            f"{path}:{line}: malformed CSV (field larger than field limit (131072))"
         )
 
     def test_sentinel_marks_pellet_invalid(self, tmp_path):
@@ -281,8 +282,12 @@ class TestParseTraceFile:
         write_trace_csv(path, palate_coords())
         with open(path, "a") as fh:
             fh.write('"' + "1" * 200_000 + '",0\n')
-        with pytest.raises(ParseError, match=r"pal\.csv: malformed CSV \(field larger"):
+        line = len(palate_coords()) + 2
+        with pytest.raises(ParseError) as excinfo:
             parse_trace_file(path, "palate")
+        assert str(excinfo.value) == (
+            f"{path}:{line}: malformed CSV (field larger than field limit (131072))"
+        )
 
     def test_palate_loads_in_canonical_order(self, tmp_path):
         path = tmp_path / "pal.csv"

@@ -464,6 +464,37 @@ class TestDegenerateAngle:
             assert_matches_scalar(trajectory_of(frames), anat)
 
 
+class TestDegenerateAngleLocation:
+    def test_names_the_earliest_bad_frame(self, anatomy):
+        frames = [make_frame(k / 145.0) for k in range(6)]
+        frames[2] = make_frame(2 / 145.0, degenerate_coords("tip"))
+        frames[4] = make_frame(4 / 145.0, degenerate_coords("on_trace"))
+        with pytest.raises(DegenerateAngle) as excinfo:
+            compute_trajectory(trajectory_of(frames), flat_anatomy(anatomy))
+        assert (excinfo.value.frame, excinfo.value.t) == (2, 2 / 145.0)
+        assert type(excinfo.value.t) is float
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        postures=st.lists(
+            st.sets(st.sampled_from(["on_trace", "contact", "fallback", "tip"]), max_size=2),
+            min_size=1,
+            max_size=8,
+        ).filter(any)
+    )
+    def test_frame_is_the_first_posture_that_fails(self, anatomy, postures):
+        # Every non-empty posture fails some check (TestDegenerateAngle).
+        frames = [
+            make_frame(0.5 + k / 145.0, degenerate_coords(*faults))
+            for k, faults in enumerate(postures)
+        ]
+        first = next(k for k, faults in enumerate(postures) if faults)
+        with pytest.raises(DegenerateAngle) as excinfo:
+            compute_trajectory(trajectory_of(frames), flat_anatomy(anatomy))
+        assert excinfo.value.frame == first
+        assert excinfo.value.t == 0.5 + first / 145.0
+
+
 coordinate = st.floats(-60.0, 20.0, allow_nan=False)
 pellet_frames = st.lists(
     st.tuples(

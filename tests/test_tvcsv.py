@@ -128,7 +128,7 @@ class TestReadTvCsv:
         with pytest.raises(ParseError) as excinfo:
             read_tv_csv(path)
         assert str(excinfo.value) == (
-            f"{path}: malformed CSV (field larger than field limit (131072))"
+            f"{path}:4: malformed CSV (field larger than field limit (131072))"
         )
 
 
