@@ -25,7 +25,6 @@ import json
 import logging
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -43,7 +42,7 @@ from .errors import (
 )
 from .geometry import Point2D, Polyline
 from .tract_variables import PELLET_NAMES, PelletFrame
-from .tvcsv import open_csv, parse_float
+from .tvcsv import load_plain_table, open_csv, parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +64,7 @@ PELLET_HEADER = (
     "T1x", "T1y", "T2x", "T2y", "T3x", "T3y", "T4x", "T4y",
     "MNIx", "MNIy", "MNMx", "MNMy",
 )
+_PELLET_HEADER_LINE = ",".join(PELLET_HEADER).encode()
 
 TRACE_HEADER = ("x", "y")
 
@@ -133,13 +133,29 @@ class IngestReport:
     pellets_interpolated: int = 0
 
 
-def _raise_first_bad_cell(path: Path) -> None:
-    """Check a pellet file cell by cell, in file order, and raise the
-    ParseError for the first bad one: a row of the wrong width, a cell
-    that is not a finite number, or a time that does not increase.  Text
-    that is not UTF-8 raises ParseError too."""
+def _read_pellet_cells(path: Path) -> np.ndarray:
+    """Read a pellet file cell by cell with `csv` and `float`.
+
+    The reference that the fast path of `parse_pellet_file` must agree
+    with, the only reader of legal but irregular files (blank lines,
+    quoted or padded cells), and the one that raises every SchemaError
+    and ParseError: for a bad header, or for the first bad cell in file
+    order (a row of the wrong width, a cell that is not a finite number,
+    or a time that does not increase).  Text that is not UTF-8 raises
+    ParseError too.
+    """
+    rows: list[list[float]] = []
     with open_csv(path) as reader:
-        next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        if tuple(h.strip() for h in header) != PELLET_HEADER:
+            missing = set(PELLET_HEADER) - {h.strip() for h in header}
+            detail = f"missing columns {sorted(missing)}" if missing else "bad column order"
+            raise SchemaError(
+                f"{path}: header does not match the pellet schema ({detail})"
+            )
         prev_t = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -159,8 +175,11 @@ def _raise_first_bad_cell(path: Path) -> None:
                     "t",
                 )
             prev_t = t
-            for column, token in zip(PELLET_HEADER[1:], row[1:]):
-                parse_float(token, path, line_no, column)
+            rows.append(
+                [t, *(parse_float(token, path, line_no, column)
+                      for column, token in zip(PELLET_HEADER[1:], row[1:]))]
+            )
+    return np.array(rows, dtype=np.float64).reshape(-1, len(PELLET_HEADER))
 
 
 def parse_pellet_file(
@@ -177,31 +196,16 @@ def parse_pellet_file(
     non-monotone time, fewer than two rows, or text that is not UTF-8.
     """
     path = Path(path)
-    width = len(PELLET_HEADER)
-    cells = array("d")
-    with open_csv(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PELLET_HEADER:
-            missing = set(PELLET_HEADER) - {h.strip() for h in header}
-            detail = f"missing columns {sorted(missing)}" if missing else "bad column order"
-            raise SchemaError(
-                f"{path}: header does not match the pellet schema ({detail})"
-            )
-        # One fast pass; a bad file is read again cell by cell so that
-        # its error names the first bad cell in file order.
-        try:
-            for row in reader:
-                if row and len(row) != width:
-                    raise ValueError(row)
-                cells.extend(map(float, row))
-        except ValueError:
-            _raise_first_bad_cell(path)
-    table = np.frombuffer(cells).reshape(-1, width)
-    if not np.isfinite(table).all() or (table[1:, 0] <= table[:-1, 0]).any():
-        _raise_first_bad_cell(path)
+    with open(path, "rb") as fh:
+        table = load_plain_table(fh.read(), _PELLET_HEADER_LINE, len(PELLET_HEADER))
+    # Whatever the fast path cannot take, or takes but finds bad, is read
+    # cell by cell, which raises for the first bad cell in file order.
+    if (
+        table is None
+        or not np.isfinite(table).all()
+        or (table[1:, 0] <= table[:-1, 0]).any()
+    ):
+        table = _read_pellet_cells(path)
     n = len(table)
     if n < 2:
         raise ParseError(f"need at least 2 rows, got {n}", path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,12 +66,51 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _load_speakers(manifest_path: Path) -> list[SpeakerSpec] | None:
+def _anatomy_outputs(spec: SpeakerSpec, output_dir: Path) -> list[Path]:
+    """Where one speaker's anatomy JSON and SVG go."""
+    return [output_dir / f"{spec.speaker_id}.anatomy.{ext}" for ext in ("json", "svg")]
+
+
+def _utterance_outputs(utterance_path: Path, output_dir: Path) -> list[Path]:
+    """Where one utterance's TV CSV and SVG go."""
+    return [output_dir / f"{utterance_path.stem}.{ext}" for ext in ("tv.csv", "tvs.svg")]
+
+
+def _realpath(path: Path, dirs: dict[str, str]) -> str:
+    """`os.path.realpath(path)`, resolving each parent directory once."""
+    head, name = os.path.split(path)
+    if head not in dirs:
+        dirs[head] = os.path.realpath(head)
+    real = os.path.join(dirs[head], name)
+    return os.path.realpath(real) if os.path.islink(real) else real
+
+
+def _load_speakers(
+    manifest_path: Path, output_dir: Path, svg: bool, utterances: bool
+) -> list[SpeakerSpec] | None:
+    """Load the manifest, or log why not and return None.  Before anything
+    is written, a manifest is refused when a planned output resolves to
+    one of its inputs: the manifest, a trace or an utterance."""
     try:
-        return load_manifest(manifest_path)
+        speakers = load_manifest(manifest_path)
     except (OSError, ConfigError) as exc:
         logger.error("cannot load manifest: %s", exc)
         return None
+    dirs: dict[str, str] = {}
+    inputs = {_realpath(manifest_path, dirs): manifest_path}
+    outputs: list[Path] = []
+    for spec in speakers:
+        for path in (spec.palate_path, spec.posterior_wall_path, *spec.utterance_paths):
+            inputs.setdefault(_realpath(path, dirs), path)
+        outputs += _anatomy_outputs(spec, output_dir)[: 2 if svg else 1]
+        for path in spec.utterance_paths if utterances else ():
+            outputs += _utterance_outputs(path, output_dir)[: 2 if svg else 1]
+    for output in outputs:
+        clobbered = inputs.get(_realpath(output, dirs))
+        if clobbered is not None:
+            logger.error("output %s would overwrite input %s", output, clobbered)
+            return None
+    return speakers
 
 
 def _prepare_speaker(
@@ -96,9 +136,10 @@ def _prepare_speaker(
     except DataError as exc:
         logger.error("speaker %s: anatomy failed: %s", spec.speaker_id, exc)
         return None, EXIT_DATA
-    write_anatomy_json(anat, output_dir / f"{spec.speaker_id}.anatomy.json")
+    json_path, svg_path = _anatomy_outputs(spec, output_dir)
+    write_anatomy_json(anat, json_path)
     if svg:
-        _write_text(output_dir / f"{spec.speaker_id}.anatomy.svg", anatomy_svg(anat))
+        _write_text(svg_path, anatomy_svg(anat))
     return anat, EXIT_OK
 
 
@@ -113,13 +154,10 @@ def _process_utterance(
     )
     uniform = resample(trajectory, config.target_rate, report)
     tvs = compute_trajectory(uniform, anat, clamp_tbcd=config.clamp_tbcd)
-    out_csv = config.output_dir / f"{utterance_path.stem}.tv.csv"
+    out_csv, out_svg = _utterance_outputs(utterance_path, config.output_dir)
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
-        _write_text(
-            config.output_dir / f"{utterance_path.stem}.tvs.svg",
-            tv_svg(tvs, degrees=config.degrees),
-        )
+        _write_text(out_svg, tv_svg(tvs, degrees=config.degrees))
     logger.info(
         "%s/%s: %d frames in, %d out, %d mistracked, %d pellets interpolated",
         spec.speaker_id,
@@ -180,7 +218,9 @@ def run_pipeline(config: RunConfig) -> int:
     A worker process that dies ends the run with exit 1.
     Exit codes: 0 success, 1 configuration or I/O trouble, 2 bad data.
     """
-    speakers = _load_speakers(config.manifest_path)
+    speakers = _load_speakers(
+        config.manifest_path, config.output_dir, config.plots, utterances=True
+    )
     if speakers is None:
         return EXIT_CONFIG
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -219,7 +259,7 @@ def run_pipeline(config: RunConfig) -> int:
 
 def run_anatomy_only(manifest_path: Path, output_dir: Path) -> int:
     """Derive and write anatomy (JSON plus figure) without utterances."""
-    speakers = _load_speakers(manifest_path)
+    speakers = _load_speakers(manifest_path, output_dir, svg=True, utterances=False)
     if speakers is None:
         return EXIT_CONFIG
     output_dir.mkdir(parents=True, exist_ok=True)

@@ -10,12 +10,14 @@ Every writer here replaces its target atomically: an interrupted or
 failed write leaves either the old file or none, never a truncated one.
 The TV reader rejects a malformed file with a ParseError naming its
 line and column; `open_csv` and `parse_float` give the pellet and
-trace readers the same UTF-8, CSV and cell checks.
+trace readers the same UTF-8, CSV and cell checks, and
+`load_plain_table` gives the TV and pellet readers one fast path.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -73,14 +75,15 @@ def write_tv_csv(
 _LABEL_CODE = {q.value: k for k, q in enumerate(QUALITIES)}
 _OK = QUALITIES.index(Quality.OK)
 _TV_HEADER_LINE = ",".join(TV_HEADER).encode()
-# The fast TV reader parses only bodies spelled from these bytes: digits,
-# signs, points, commas, line ends, the `e` of exponents and the letters
-# of the quality labels.  On them `str.splitlines` and `np.loadtxt` split
-# rows and cells as `csv` does and convert cells with the same
+# `load_plain_table` parses only bodies spelled from these bytes (plus
+# the letters a caller adds): digits, signs, points, commas, line ends
+# and the `e` of exponents.  On them `np.loadtxt` splits rows and cells
+# as `csv` does, or raises, and converts cells with the same
 # decimal-to-double routine as `float`.  Elsewhere they differ (loadtxt
-# reads `1.5\x1f`, which `float` rejects), so quotes, padding, underscores,
-# control characters and non-ASCII text go to the per-cell reader.
-_FAST_TV_BYTES = b"0123456789+-.,e\r\n" + "".join(_LABEL_CODE).encode()
+# reads `1.5\x1f`, which `float` rejects), so quotes, padding,
+# underscores, control characters and non-ASCII text go to the caller's
+# per-cell reader.
+_PLAIN_BYTES = b"0123456789+-.,e\r\n"
 
 
 @contextmanager
@@ -134,34 +137,55 @@ def read_tv_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns if columns is not None else _read_tv_cells(path)
 
 
-def _parse_regular_tv(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Parse a TV file with one `np.loadtxt` call, or return None when the
-    file is not spelled plainly enough for that to agree with
-    `_read_tv_cells`, which then reads it (and raises, if it is bad)."""
-    header, _, body = data.partition(b"\n")
-    # A file without rows goes to the per-cell reader too: loadtxt warns
-    # on empty input.
+def load_plain_table(
+    data: bytes, header: bytes, width: int, letters: bytes = b"", converters=None
+) -> np.ndarray | None:
+    """Parse the rows of a CSV file's bytes with one `np.loadtxt` call.
+
+    Returns the (n, width) table, or None, for the caller's per-cell
+    reader to read the file, when the first line is not exactly `header`
+    (with or without `\r`), the body holds a byte other than the plain
+    ones and `letters` or no row (loadtxt warns on empty input), or
+    loadtxt rejects it or finds another width.
+    """
+    head, _, body = data.partition(b"\n")
     if (
-        header not in (_TV_HEADER_LINE, _TV_HEADER_LINE + b"\r")
-        or body.translate(None, _FAST_TV_BYTES)
+        head not in (header, header + b"\r")
+        or body.translate(None, _PLAIN_BYTES + letters)
         or not body.strip(b"\r\n")
     ):
         return None
-    # Two passes, because `replace` skips the comma it just matched.
-    filled = body.replace(b",,", b",nan,").replace(b",,", b",nan,")
-    n_empty = (len(filled) - len(body)) // 3
-    label_column = len(TV_HEADER) - 1
     try:
         table = np.loadtxt(
-            filled.decode("ascii").splitlines(),
+            io.BytesIO(body),
             delimiter=",",
             comments=None,
             ndmin=2,
-            converters={label_column: _LABEL_CODE.__getitem__},
+            encoding="ascii",
+            converters=converters,
         )
     except ValueError:
         return None
-    if table.shape[1] != len(TV_HEADER):
+    return table if table.shape[1] == width else None
+
+
+def _parse_regular_tv(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse a TV file with `load_plain_table`, or return None when the
+    file is not spelled plainly enough for that to agree with
+    `_read_tv_cells`, which then reads it (and raises, if it is bad)."""
+    # Empty cells become `nan`, whose letters the labels already allow;
+    # two passes, because `replace` skips the comma it just matched.
+    filled = data.replace(b",,", b",nan,").replace(b",,", b",nan,")
+    n_empty = (len(filled) - len(data)) // 3
+    label_column = len(TV_HEADER) - 1
+    table = load_plain_table(
+        filled,
+        _TV_HEADER_LINE,
+        len(TV_HEADER),
+        letters="".join(_LABEL_CODE).encode(),
+        converters={label_column: _LABEL_CODE.__getitem__},
+    )
+    if table is None:
         return None
     numbers = table[:, :label_column]
     quality = table[:, label_column].astype(np.int8)

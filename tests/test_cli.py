@@ -349,6 +349,77 @@ class TestRunRejectsBadConfig:
             self.assert_one_line_error(caplog, "must be a plain file name")
         assert list(tmp_path.glob("**/*.anatomy.json")) == []
 
+    @pytest.mark.parametrize(
+        "extra, alias",
+        [([], False), (["--parallelism", "2"], False), (["--plots"], False), ([], True)],
+        ids=["p1", "p2", "plots", "out-through-symlink"],
+    )
+    def test_output_cannot_overwrite_an_input(self, tmp_path, caplog, extra, alias):
+        # Utterance u.csv writes u.tv.csv, which the manifest lists as an
+        # input too; --out is the directory that holds both, or a symlink
+        # to it.
+        root = tmp_path / "data"
+        out = tmp_path / "alias" if alias else root
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        (root / "utt00.csv").rename(root / "u.csv")
+        (root / "utt01.csv").rename(root / "u.tv.csv")
+        entry = json.loads(manifest.read_text())
+        entry["utterances"] = ["u.csv", "u.tv.csv"]
+        manifest.write_text(json.dumps(entry))
+        if alias:
+            out.symlink_to(root, target_is_directory=True)
+        before = {p: p.read_bytes() for p in root.iterdir()}
+        assert run_cli("run", "--manifest", manifest, "--out", out, *extra) == 1
+        self.assert_one_line_error(
+            caplog, f"output {out / 'u.tv.csv'} would overwrite input {root / 'u.tv.csv'}"
+        )
+        assert {p: p.read_bytes() for p in root.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["run", "anatomy"])
+    def test_output_cannot_overwrite_the_manifest(self, tmp_path, caplog, command):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root).rename(root / "synth.anatomy.json")
+        before = manifest.read_bytes()
+        assert run_cli(command, "--manifest", manifest, "--out", root) == 1
+        self.assert_one_line_error(
+            caplog, f"output {manifest} would overwrite input {manifest}"
+        )
+        assert manifest.read_bytes() == before
+
+    def test_svg_output_cannot_overwrite_a_trace(self, tmp_path, caplog):
+        # The wall trace sits where --plots, and the anatomy subcommand,
+        # write the speaker's anatomy SVG; the JSON path resolves to the
+        # palate trace through a symlink.
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        (root / "wall.csv").rename(root / "synth.anatomy.svg")
+        entry = json.loads(manifest.read_text())
+        entry["posterior_wall"] = "synth.anatomy.svg"
+        manifest.write_text(json.dumps(entry))
+        wall = (root / "synth.anatomy.svg").read_bytes()
+        assert run_cli("run", "--manifest", manifest, "--out", root) == 0
+        assert (root / "synth.anatomy.svg").read_bytes() == wall
+        before = {p: p.read_bytes() for p in root.iterdir()}
+        for command, extra in (("run", ["--plots"]), ("anatomy", [])):
+            caplog.clear()
+            assert run_cli(command, "--manifest", manifest, "--out", root, *extra) == 1
+            self.assert_one_line_error(
+                caplog,
+                f"output {root / 'synth.anatomy.svg'} would overwrite input "
+                f"{root / 'synth.anatomy.svg'}",
+            )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "synth.anatomy.json").symlink_to(root / "palate.csv")
+        caplog.clear()
+        assert run_cli("anatomy", "--manifest", manifest, "--out", out) == 1
+        self.assert_one_line_error(
+            caplog,
+            f"output {out / 'synth.anatomy.json'} would overwrite input "
+            f"{root / 'palate.csv'}",
+        )
+        assert {p: p.read_bytes() for p in root.iterdir()} == before
+
     def test_shared_utterance_stem(self, tmp_path, caplog):
         # Two speakers that both list utt00.csv would write one utt00.tv.csv.
         root = tmp_path / "data"

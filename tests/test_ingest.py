@@ -4,10 +4,11 @@ import bisect
 import json
 import logging
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tractvar.anatomy import Sex
 from tractvar.errors import (
@@ -17,6 +18,7 @@ from tractvar.errors import (
     InsufficientData,
     ParseError,
     SchemaError,
+    TractvarError,
 )
 from tractvar import ingest
 from tractvar.ingest import (
@@ -193,21 +195,23 @@ class TestParsePelletFile:
 
     @pytest.mark.parametrize("where", ["start", "end"])
     def test_not_utf8_is_parse_error(self, tmp_path, monkeypatch, where):
-        # Text is decoded in 8 KiB chunks, so bad bytes at the end of a long
-        # file surface inside the fast pass and reach _raise_first_bad_cell.
+        # Bad bytes at the start break the exact header, and at the end the
+        # byte filter, so both files reach the per-cell reader.  Its text is
+        # decoded in 8 KiB chunks, so bad bytes at the end of a long file
+        # surface only after the rows before them were read.
         path = tmp_path / "utt.csv"
         write_pellet_csv(path, pellet_rows(200))
         data = path.read_bytes()
         assert len(data) > 4 * 8192
         path.write_bytes(b"\xff" + data if where == "start" else data + b"\xff\xfe")
         calls = []
-        check = ingest._raise_first_bad_cell
+        read_cells = ingest._read_pellet_cells
         monkeypatch.setattr(
-            ingest, "_raise_first_bad_cell", lambda p: calls.append(p) or check(p)
+            ingest, "_read_pellet_cells", lambda p: calls.append(p) or read_cells(p)
         )
         with pytest.raises(ParseError, match="not UTF-8"):
             parse_pellet_file(path)
-        assert len(calls) == (where == "end")
+        assert calls == [path]
 
     @pytest.mark.parametrize("line", [2, 150])
     def test_cell_over_csv_field_limit_is_parse_error(self, tmp_path, line):
@@ -274,6 +278,153 @@ class TestWritePelletFile:
         t3x = PELLET_HEADER.index("T3x")
         assert lines[2].split(",")[t3x] == repr(1e6)
         assert lines[1].split(",")[t3x] != repr(1e6)
+
+
+# Edits that make a pellet file irregular or bad.  Each is applied to one
+# cell or line of a valid file; together they cover every rule on which
+# `np.loadtxt` and `csv` + `float` could disagree.
+PELLET_TOKENS = [
+    "", "nan", "NaN", "-nan", "inf", "-inf", "infinity", "Infinity", "1e999",
+    "-1e999", "1e-400", "1_000", "0x10", "1.5E3", "+.5", "-0", "5.", ".", "+",
+    "-", "e", "e5", "--1", "1e", "1e5e", "abc", "1,2", '"1.5"', " 1.5", "1.5 ",
+    "\t1.5", "1.5\xa0", "\xe9", "\x00", "1\r2", "1.5\x1f", "1.5\x1c", "1.5\x0c",
+]
+PELLET_MUTATIONS = st.one_of(
+    st.tuples(st.just("token"), st.integers(0, 17), st.sampled_from(PELLET_TOKENS)),
+    st.tuples(st.just("value"), st.integers(0, 17), st.floats(allow_nan=False)),
+    st.tuples(st.just("quote"), st.integers(0, 17), st.none()),
+    st.tuples(st.just("pad"), st.integers(0, 17), st.sampled_from([" ", "  ", "\t"])),
+    st.tuples(st.just("drop"), st.integers(0, 17), st.none()),
+    st.tuples(st.just("extra"), st.integers(0, 18), st.sampled_from(["", "1.0"])),
+    st.tuples(st.just("trailing comma"), st.none(), st.none()),
+    st.tuples(st.just("trailing comma on every row"), st.none(), st.none()),
+    st.tuples(st.just("bare cr"), st.none(), st.none()),
+    st.tuples(st.just("blank line"), st.none(), st.sampled_from(["", " ", ","])),
+)
+
+
+def mutate_pellet_lines(lines, row, edit):
+    kind, field, token = edit
+    if kind == "blank line":
+        lines.insert(row, token)
+        return
+    if kind == "trailing comma on every row":
+        lines[1:] = [line + "," for line in lines[1:]]
+        return
+    if kind == "bare cr":
+        lines[row] += "\r"
+        return
+    fields = lines[row].split(",")
+    if kind == "extra":
+        fields.insert(min(field, len(fields)), token)
+    elif kind == "trailing comma":
+        fields.append("")
+    else:
+        field = min(field, len(fields) - 1)
+        if kind == "token":
+            fields[field] = token
+        elif kind == "value":
+            fields[field] = repr(token)
+        elif kind == "quote":
+            fields[field] = f'"{fields[field]}"'
+        elif kind == "pad":
+            fields[field] = f"{token}{fields[field]}{token}"
+        elif kind == "drop":
+            del fields[field]
+    lines[row] = ",".join(fields)
+
+
+def pellet_outcome(path):
+    try:
+        traj, report = parse_pellet_file(path)
+    except TractvarError as exc:
+        return type(exc), str(exc)
+    return (
+        "ok",
+        traj.t.tobytes(),
+        traj.xy.tobytes(),
+        traj.valid.tobytes(),
+        traj.native_rate,
+        report,
+    )
+
+
+class TestPelletFastPath:
+    @pytest.mark.parametrize(
+        "newline, final_newline, blank_line",
+        [
+            ("\r\n", True, False),
+            ("\n", True, False),
+            ("\n", False, True),
+            ("\r\n", False, True),
+        ],
+    )
+    def test_plain_file_never_reaches_the_per_cell_reader(
+        self, tmp_path, monkeypatch, newline, final_newline, blank_line
+    ):
+        path = tmp_path / "utt.csv"
+        write_pellet_csv(path, pellet_rows(40, invalid={3: ("T2",)}))
+        lines = path.read_text().splitlines()
+        if blank_line:
+            lines.insert(5, "")
+        text = newline.join(lines) + (newline if final_newline else "")
+        path.write_bytes(text.encode("ascii"))
+        expected = pellet_outcome(path)
+
+        def refuse(p):
+            raise AssertionError(f"{p} reached the per-cell reader")
+
+        monkeypatch.setattr(ingest, "_read_pellet_cells", refuse)
+        assert pellet_outcome(path) == expected
+        assert expected[0] == "ok" and expected[-1].frames_read == 40
+
+    @pytest.mark.parametrize("token", PELLET_TOKENS)
+    def test_each_token_agrees_with_the_per_cell_reference(self, tmp_path, token):
+        # Every token alone, in the time column and in a coordinate column.
+        for field in (0, 5):
+            path = tmp_path / "utt.csv"
+            write_pellet_csv(path, pellet_rows(4))
+            lines = path.read_text().splitlines()
+            mutate_pellet_lines(lines, 2, ("token", field, token))
+            path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+            with patch.object(ingest, "load_plain_table", return_value=None):
+                expected = pellet_outcome(path)
+            assert pellet_outcome(path) == expected
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.integers(1, 6),
+        mistracked=st.sets(st.integers(0, 5), max_size=2),
+        edits=st.lists(st.tuples(st.integers(0, 6), PELLET_MUTATIONS), max_size=3),
+        newline=st.sampled_from(["\r\n", "\n", "\r"]),
+        final_newline=st.booleans(),
+    )
+    def test_reader_agrees_with_the_per_cell_reference(
+        self, tmp_path, n, mistracked, edits, newline, final_newline
+    ):
+        path = tmp_path / "utt.csv"
+        write_pellet_csv(path, pellet_rows(n, invalid={k: ("T3",) for k in mistracked}))
+        lines = path.read_text().splitlines()
+        for row, edit in edits:
+            # Row 0 is the header, so the header gets edited too.
+            mutate_pellet_lines(lines, min(row, len(lines) - 1), edit)
+        text = newline.join(lines) + (newline if final_newline else "")
+        path.write_bytes(text.encode("utf-8"))
+        with patch.object(ingest, "load_plain_table", return_value=None):
+            expected = pellet_outcome(path)
+        assert pellet_outcome(path) == expected
+        if not edits and newline != "\r":
+            # Only files with bare-CR line ends leave the fast path unedited.
+            table = ingest.load_plain_table(
+                path.read_bytes(), ",".join(PELLET_HEADER).encode(), len(PELLET_HEADER)
+            )
+            assert table is not None
 
 
 class TestParseTraceFile:
