@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AnatomyInconsistent, TractvarError
+from .errors import AnatomyInconsistent, DegenerateTrace, TractvarError
 from .geometry import (
     Point2D,
     Polyline,
@@ -131,7 +131,13 @@ def palatal_reference_center(palate: Polyline) -> Point2D:
     """Center of the least-squares circle through the palate trace.
 
     Only the center is kept; the circle itself plays no further role.
+    Raises DegenerateTrace for a palate of fewer than 3 points.
     """
+    if len(palate.points) < 3:
+        raise DegenerateTrace(
+            f"palate trace has {len(palate.points)} points; "
+            f"a reference circle needs at least 3"
+        )
     return fit_circle(palate.points).center
 
 

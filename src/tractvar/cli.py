@@ -28,6 +28,7 @@ from .pipeline import (
     EXIT_DATA,
     EXIT_OK,
     RunConfig,
+    _realpath,
     run_anatomy_only,
     run_pipeline,
 )
@@ -100,6 +101,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.json is not None:
+        dirs: dict[str, str] = {}
+        target = _realpath(args.json, dirs)
+        for path in (args.file_a, args.file_b):
+            if _realpath(path, dirs) == target:
+                logger.error("output %s would overwrite input %s", args.json, path)
+                return EXIT_CONFIG
     report = compare_tvs(args.file_a, args.file_b)
     print(format_table(report))
     if args.json is not None:

@@ -75,7 +75,8 @@ class SchemaError(DataError):
 
 
 class DegenerateTrace(DataError):
-    """An anatomical trace has fewer than two distinct points."""
+    """An anatomical trace has too few distinct points: fewer than two
+    for any trace, or fewer than three for a palate's reference circle."""
 
 
 class InsufficientData(DataError):

@@ -38,11 +38,10 @@ from .errors import (
     DegenerateTrace,
     InsufficientData,
     ParseError,
-    SchemaError,
 )
 from .geometry import Point2D, Polyline
 from .tract_variables import PELLET_NAMES, PelletFrame
-from .tvcsv import load_plain_table, open_csv, parse_float
+from .tvcsv import csv_rows, load_plain_table, parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -133,6 +132,12 @@ class IngestReport:
     pellets_interpolated: int = 0
 
 
+def _pellet_header_problem(header: list[str]) -> str:
+    missing = set(PELLET_HEADER) - {h.strip() for h in header}
+    detail = f"missing columns {sorted(missing)}" if missing else "bad column order"
+    return f"header does not match the pellet schema ({detail})"
+
+
 def _read_pellet_cells(path: Path) -> np.ndarray:
     """Read a pellet file cell by cell with `csv` and `float`.
 
@@ -145,40 +150,18 @@ def _read_pellet_cells(path: Path) -> np.ndarray:
     ParseError too.
     """
     rows: list[list[float]] = []
-    with open_csv(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != PELLET_HEADER:
-            missing = set(PELLET_HEADER) - {h.strip() for h in header}
-            detail = f"missing columns {sorted(missing)}" if missing else "bad column order"
-            raise SchemaError(
-                f"{path}: header does not match the pellet schema ({detail})"
+    prev_t = None
+    for line_no, row in csv_rows(path, PELLET_HEADER, _pellet_header_problem):
+        t = parse_float(row[0], path, line_no, "t")
+        if prev_t is not None and t <= prev_t:
+            raise ParseError(
+                f"timestamp {t!r} does not increase past {prev_t!r}", path, line_no, "t"
             )
-        prev_t = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PELLET_HEADER):
-                raise ParseError(
-                    f"expected {len(PELLET_HEADER)} fields, got {len(row)}",
-                    path,
-                    line_no,
-                )
-            t = parse_float(row[0], path, line_no, "t")
-            if prev_t is not None and t <= prev_t:
-                raise ParseError(
-                    f"timestamp {t!r} does not increase past {prev_t!r}",
-                    path,
-                    line_no,
-                    "t",
-                )
-            prev_t = t
-            rows.append(
-                [t, *(parse_float(token, path, line_no, column)
-                      for column, token in zip(PELLET_HEADER[1:], row[1:]))]
-            )
+        prev_t = t
+        rows.append(
+            [t, *(parse_float(token, path, line_no, column)
+                  for column, token in zip(PELLET_HEADER[1:], row[1:]))]
+        )
     return np.array(rows, dtype=np.float64).reshape(-1, len(PELLET_HEADER))
 
 
@@ -193,7 +176,8 @@ def parse_pellet_file(
 
     Returns the trajectory plus an ingest report.  Raises SchemaError for
     a bad header and ParseError for malformed rows, non-finite values,
-    non-monotone time, fewer than two rows, or text that is not UTF-8.
+    non-monotone time, fewer than two rows, a time span too short for a
+    finite sample rate, or text that is not UTF-8.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -216,7 +200,12 @@ def parse_pellet_file(
         frames_read=n,
         frames_mistracked=int(np.count_nonzero(~valid.all(axis=1))),
     )
-    native_rate = (n - 1) / (float(t[-1]) - float(t[0]))
+    span = float(t[-1]) - float(t[0])
+    native_rate = (n - 1) / span
+    if not math.isfinite(native_rate):
+        raise ParseError(
+            f"{n - 1} interval(s) over {span!r} s give no finite sample rate", path
+        )
     trajectory = PelletTrajectory(
         speaker_id,
         utterance_id if utterance_id is not None else path.stem,
@@ -240,25 +229,14 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
     path = Path(path)
     points: list[Point2D] = []
     dropped = 0
-    with open_csv(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise SchemaError(f"{path}: trace header must be 'x,y'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", path, line_no)
-            x = parse_float(row[0], path, line_no, "x")
-            y = parse_float(row[1], path, line_no, "y")
-            p = Point2D(x, y)
-            if points and points[-1] == p:
-                dropped += 1
-                continue
-            points.append(p)
+    for line_no, (x, y) in csv_rows(
+        path, TRACE_HEADER, lambda _: "trace header must be 'x,y'"
+    ):
+        p = Point2D(parse_float(x, path, line_no, "x"), parse_float(y, path, line_no, "y"))
+        if points and points[-1] == p:
+            dropped += 1
+            continue
+        points.append(p)
     if dropped:
         logger.warning("%s: collapsed %d repeated consecutive point(s)", path, dropped)
     if len(points) < 2:

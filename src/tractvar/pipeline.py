@@ -53,9 +53,13 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.target_rate) and self.target_rate > 0.0):
+        # A subnormal rate is positive and finite, but its grid step 1/rate
+        # overflows to inf.
+        rate = self.target_rate
+        if not (math.isfinite(rate) and rate > 0.0 and math.isfinite(1.0 / rate)):
             raise ConfigError(
-                f"rate must be a positive finite number, got {self.target_rate}"
+                f"rate must be a positive finite number with a finite reciprocal, "
+                f"got {rate}"
             )
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
@@ -123,18 +127,19 @@ def _prepare_speaker(
     try:
         palate = parse_trace_file(spec.palate_path, "palate")
         wall = parse_trace_file(spec.posterior_wall_path, "wall")
-        anat = build_speaker_anatomy(
-            spec.speaker_id,
-            palate,
-            wall,
-            spec.sex,
-            thickness_mm=spec.thickness_mm,
-        )
     except OSError as exc:
         logger.error("speaker %s: cannot read traces: %s", spec.speaker_id, exc)
         return None, EXIT_CONFIG
     except DataError as exc:
         logger.error("speaker %s: anatomy failed: %s", spec.speaker_id, exc)
+        return None, EXIT_DATA
+    try:
+        anat = build_speaker_anatomy(
+            spec.speaker_id, palate, wall, spec.sex, thickness_mm=spec.thickness_mm
+        )
+    except DataError as exc:
+        # The message already names the speaker.
+        logger.error("%s", exc)
         return None, EXIT_DATA
     json_path, svg_path = _anatomy_outputs(spec, output_dir)
     write_anatomy_json(anat, json_path)

@@ -9,8 +9,8 @@ degrees; readers do not convert.
 Every writer here replaces its target atomically: an interrupted or
 failed write leaves either the old file or none, never a truncated one.
 The TV reader rejects a malformed file with a ParseError naming its
-line and column; `open_csv` and `parse_float` give the pellet and
-trace readers the same UTF-8, CSV and cell checks, and
+line and column.  `csv_rows` and `parse_float` give the TV, pellet and
+trace readers one set of file, header, row and cell checks, and
 `load_plain_table` gives the TV and pellet readers one fast path.
 """
 
@@ -23,7 +23,7 @@ import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -86,19 +86,35 @@ _TV_HEADER_LINE = ",".join(TV_HEADER).encode()
 _PLAIN_BYTES = b"0123456789+-.,e\r\n"
 
 
-@contextmanager
-def open_csv(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """Open a data file as UTF-8 text and yield a `csv.reader` over it.
+def csv_rows(
+    path: Path, header: tuple[str, ...], bad_header: Callable[[list[str]], str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(line, cells)` for each non-blank row after the header of a
+    UTF-8 CSV file, where `line` counts CSV records, the header being 1.
 
-    Bytes that are not UTF-8 raise ParseError naming the file, and text
-    that `csv` cannot split (such as a cell longer than its field size
-    limit) raises ParseError naming the file and line, when the block
-    reads them.
+    Raises SchemaError for an empty file, and for a header that differs
+    from `header` after stripping each name, with the message
+    `bad_header` gives for its cells.  Raises ParseError for a row whose
+    width is not the header's, for bytes that are not UTF-8, and for
+    text that `csv` cannot split (such as a cell longer than its field
+    size limit), each when the row is read.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            yield reader
+            first = next(reader, None)
+            if first is None:
+                raise SchemaError(f"{path}: empty file")
+            if tuple(h.strip() for h in first) != header:
+                raise SchemaError(f"{path}: {bad_header(first)}")
+            for line, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} fields, got {len(cells)}", path, line
+                    )
+                yield line, cells
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
         except csv.Error as exc:
@@ -210,37 +226,23 @@ def _read_tv_cells(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     times: list[float] = []
     values: list[float] = []
     quality: list[int] = []
-    with open_csv(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != TV_HEADER:
-            raise SchemaError(f"{path}: header does not match the TV schema")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TV_HEADER):
-                raise ParseError(
-                    f"expected {len(TV_HEADER)} fields, got {len(row)}", path, line_no
-                )
-            times.append(parse_float(row[0], path, line_no, "t"))
-            empty = []
-            for name, token in zip(TV_NAMES, row[1:]):
-                token = token.strip()
-                if token:
-                    values.append(parse_float(token, path, line_no, name))
-                else:
-                    values.append(math.nan)
-                    empty.append(name)
-            label = row[-1].strip()
-            if label not in _LABEL_CODE:
-                raise ParseError(
-                    f"unknown quality label {label!r}", path, line_no, "quality"
-                )
-            if empty and _LABEL_CODE[label] == _OK:
-                raise ParseError("empty cell in an Ok frame", path, line_no, empty[0])
-            quality.append(_LABEL_CODE[label])
+    rows = csv_rows(path, TV_HEADER, lambda _: "header does not match the TV schema")
+    for line_no, row in rows:
+        times.append(parse_float(row[0], path, line_no, "t"))
+        empty = []
+        for name, token in zip(TV_NAMES, row[1:]):
+            token = token.strip()
+            if token:
+                values.append(parse_float(token, path, line_no, name))
+            else:
+                values.append(math.nan)
+                empty.append(name)
+        label = row[-1].strip()
+        if label not in _LABEL_CODE:
+            raise ParseError(f"unknown quality label {label!r}", path, line_no, "quality")
+        if empty and _LABEL_CODE[label] == _OK:
+            raise ParseError("empty cell in an Ok frame", path, line_no, empty[0])
+        quality.append(_LABEL_CODE[label])
     return (
         np.array(times, dtype=np.float64),
         np.array(values, dtype=np.float64).reshape(-1, len(TV_NAMES)),

@@ -22,7 +22,12 @@ from tractvar.anatomy import (
     infer_anterior_wall,
     palatal_reference_center,
 )
-from tractvar.errors import AnatomyInconsistent, CollinearPoints, NoIntersection
+from tractvar.errors import (
+    AnatomyInconsistent,
+    CollinearPoints,
+    DegenerateTrace,
+    NoIntersection,
+)
 from tractvar.geometry import Point2D, Polyline, distance
 
 
@@ -206,6 +211,17 @@ class TestBuildSpeakerAnatomy:
         wall = vertical_wall()
         with pytest.raises(AnatomyInconsistent, match="bad-speaker"):
             build_speaker_anatomy("bad-speaker", palate, wall, Sex.FEMALE)
+
+    def test_two_point_palate_is_degenerate_trace(self):
+        # The soft-palate line through both points meets the wall, so
+        # only the reference circle lacks points.
+        palate = Polyline([P(-10.0, 15.0), P(-40.0, 10.0)])
+        with pytest.raises(DegenerateTrace) as excinfo:
+            build_speaker_anatomy("two", palate, vertical_wall(), Sex.FEMALE)
+        assert str(excinfo.value) == (
+            "speaker two: palate trace has 2 points; "
+            "a reference circle needs at least 3"
+        )
 
     def test_collinear_palate_names_speaker(self):
         palate = Polyline([P(-5.0 - 2.0 * k, 15.0 - 0.1 * k) for k in range(10)])

@@ -226,6 +226,59 @@ class TestRun:
         rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
         assert rc == 2
 
+    def test_subnormal_pellet_time_span_is_data_error(self, tmp_path, caplog):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        write_pellet_csv(
+            root / "utt00.csv", [(t, reference_pellets()) for t in (0.0, 1e-320)]
+        )
+        rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
+        assert rc == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            f"utterance {root / 'utt00.csv'}: {root / 'utt00.csv'}: "
+            f"1 interval(s) over 1e-320 s give no finite sample rate"
+        ]
+
+    @pytest.mark.parametrize(
+        "palate, message",
+        [
+            # A straight palate admits no reference circle.
+            (
+                [(-20.0 - 5.0 * k, 15.0 - k) for k in range(6)],
+                "cannot fit a circle through collinear points",
+            ),
+            # The soft-palate line through two points meets the wall, so
+            # only the reference circle lacks points.
+            (
+                [(-10.0, 15.0), (-40.0, 10.0)],
+                "palate trace has 2 points; a reference circle needs at least 3",
+            ),
+        ],
+        ids=["straight", "two-point"],
+    )
+    @pytest.mark.parametrize("command", ["run", "anatomy"])
+    def test_anatomy_error_names_the_speaker_once(
+        self, tmp_path, caplog, command, palate, message
+    ):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        write_trace_csv(root / "palate.csv", palate)
+        assert run_cli(command, "--manifest", manifest, "--out", tmp_path / "out") == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"speaker synth: {message}"]
+
+    def test_trace_error_keeps_the_speaker_prefix(self, tmp_path, caplog):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        (root / "palate.csv").write_text("x,y\n1.0,2.0\nfoo,3.0\n")
+        assert run_cli("run", "--manifest", manifest, "--out", tmp_path / "out") == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            f"speaker synth: anatomy failed: {root / 'palate.csv'}:3 (x): "
+            f"cannot parse 'foo' as a number"
+        ]
+
     def test_bad_parallelism_is_config_error(self, tmp_path):
         manifest = write_speaker_fixture(tmp_path / "data")
         rc = run_cli(
@@ -318,14 +371,19 @@ class TestRunRejectsBadConfig:
         assert len(errors) == 1
         assert needle in errors[0] and "\n" not in errors[0]
 
-    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    # 5e-324 is finite, but its reciprocal, the grid step, is not.
+    @pytest.mark.parametrize("rate", ["nan", "inf", "5e-324"])
     def test_non_finite_rate(self, tmp_path, caplog, rate):
         manifest = write_speaker_fixture(tmp_path / "data")
         rc = run_cli(
             "run", "--manifest", manifest, "--out", tmp_path / "out", "--rate", rate
         )
         assert rc == 1
-        self.assert_one_line_error(caplog, "rate must be a positive finite number")
+        self.assert_one_line_error(
+            caplog,
+            "rate must be a positive finite number with a finite reciprocal, "
+            f"got {float(rate)}",
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "1e400", "true"])
@@ -749,6 +807,20 @@ class TestCompare:
         assert str(excinfo.value) == (
             "timestamps disagree at frame 2: 0.013793103448275862 vs 0.5"
         )
+
+    @pytest.mark.parametrize("target", ["a", "b", "symlink to a"])
+    def test_json_cannot_overwrite_an_input(self, tmp_path, caplog, capsys, target):
+        a, b = self.make_tv_files(tmp_path)
+        report = {"a": a, "b": b, "symlink to a": tmp_path / "report.json"}[target]
+        if target == "symlink to a":
+            report.symlink_to(a)
+        clobbered = b if target == "b" else a
+        before = {p: p.read_bytes() for p in (a, b)}
+        assert run_cli("compare", a, b, "--json", report) == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"output {report} would overwrite input {clobbered}"]
+        assert {p: p.read_bytes() for p in (a, b)} == before
 
     def test_failed_json_write_keeps_previous_report(self, tmp_path, monkeypatch):
         a, b = self.make_tv_files(tmp_path)

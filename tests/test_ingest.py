@@ -183,6 +183,16 @@ class TestParsePelletFile:
         with pytest.raises(ParseError, match="at least 2"):
             parse_pellet_file(path)
 
+    def test_subnormal_time_span_is_parse_error(self, tmp_path):
+        # The span is positive, but its reciprocal overflows to inf.
+        path = tmp_path / "utt.csv"
+        write_pellet_csv(path, [(t, reference_pellets()) for t in (0.0, 1e-320)])
+        with pytest.raises(ParseError) as excinfo:
+            parse_pellet_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: 1 interval(s) over 1e-320 s give no finite sample rate"
+        )
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gap.csv"
         write_pellet_csv(path, pellet_rows(3))

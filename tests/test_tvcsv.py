@@ -1,5 +1,6 @@
 """Tests for the TV CSV codec: the fast reader against the per-cell
-reference, the rejections both make, and the writer round trip."""
+reference, the rejections both make, the writer round trip, and the row
+checks that the TV, pellet and trace readers share."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tractvar.errors import ParseError, SchemaError, TractvarError
+from tractvar.ingest import PELLET_HEADER, TRACE_HEADER, parse_pellet_file, parse_trace_file
 from tractvar.tract_variables import QUALITIES, Quality, TvTrajectory
 from tractvar.tvcsv import (
     TV_HEADER,
@@ -250,3 +252,88 @@ def test_write_then_read_round_trips_bit_exactly(tmp_path, trajectory):
     assert values.tobytes() == trajectory.values.tobytes()
     assert quality.dtype == np.int8
     assert quality.tobytes() == trajectory.quality.tobytes()
+
+
+# Every reader of a CSV data file: a function returning what it read,
+# its header, its k-th valid data row, and its messages for a header
+# whose first two names are swapped and one whose last name is renamed.
+def pellet_columns(path):
+    trajectory, report = parse_pellet_file(path)
+    return trajectory.t.tobytes(), trajectory.xy.tobytes(), report
+
+
+PELLET_SCHEMA = "header does not match the pellet schema"
+ROW_READERS = {
+    "pellet": (
+        pellet_columns,
+        PELLET_HEADER,
+        lambda k: f"{k / 100!r}," + ",".join(f"{k + c}.5" for c in range(16)),
+        (f"{PELLET_SCHEMA} (bad column order)",
+         f"{PELLET_SCHEMA} (missing columns ['MNMy'])"),
+    ),
+    "tv": (
+        lambda path: tuple(a.tobytes() for a in read_tv_csv(path)),
+        TV_HEADER,
+        lambda k: f"{k / 145!r},{k}.5,1.5,2.5,3.5,4.5,5.5,Ok",
+        ("header does not match the TV schema",) * 2,
+    ),
+    "trace": (
+        lambda path: parse_trace_file(path, "palate").points,
+        TRACE_HEADER,
+        lambda k: f"{-10.0 - k!r},{5.0 - k!r}",
+        ("trace header must be 'x,y'",) * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["empty", "swapped header", "renamed header", "short row", "long row",
+     "blank lines", "short row after blank lines", "not UTF-8"],
+)
+@pytest.mark.parametrize("reader", ROW_READERS)
+def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
+    read, header, row, (swapped, renamed) = ROW_READERS[reader]
+    width = len(header)
+    lines = [",".join(header)] + [row(k) for k in range(3)]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "data.csv"
+    cells = list(header)
+    if case == "swapped header":
+        cells[:2] = cells[1::-1]
+    elif case == "renamed header":
+        cells[-1] += "z"
+    lines[0] = ",".join(cells)
+    if case == "short row":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    elif case == "long row":
+        lines[2] += ",1.5"
+    elif case.endswith("blank lines"):
+        lines[2:2] = ["", ""]
+        lines.append("")
+    if case == "short row after blank lines":
+        lines[4] = lines[4].rsplit(",", 1)[0]
+    data = ("\n".join(lines) + "\n").encode()
+    if case == "empty":
+        data = b""
+    elif case == "not UTF-8":
+        data = data[:-1] + b"\xff\n"
+    path.write_bytes(data)
+    expected = {
+        "empty": (SchemaError, f"{path}: empty file"),
+        "swapped header": (SchemaError, f"{path}: {swapped}"),
+        "renamed header": (SchemaError, f"{path}: {renamed}"),
+        "short row": (ParseError, f"{path}:3: expected {width} fields, got {width - 1}"),
+        "long row": (ParseError, f"{path}:3: expected {width} fields, got {width + 1}"),
+        "short row after blank lines": (
+            ParseError, f"{path}:5: expected {width} fields, got {width - 1}"
+        ),
+        "not UTF-8": (ParseError, f"{path}: not UTF-8 text (invalid start byte)"),
+    }
+    if case == "blank lines":
+        assert read(path) == read(clean)
+        return
+    with pytest.raises(TractvarError) as excinfo:
+        read(path)
+    assert (type(excinfo.value), str(excinfo.value)) == expected[case]
