@@ -40,6 +40,10 @@ VELUM_STEP_MM = 1.0
 # point means the traces are mislabeled or mis-oriented.
 _MAX_JUNCTION_RISE_MM = 20.0
 
+# No vocal tract has a soft palate this long; the bound also caps the
+# points sampled along the extension at VELUM_STEP_MM.
+_MAX_EXTENSION_MM = 1000.0
+
 
 class Sex(enum.Enum):
     """Speaker sex as recorded in the corpus metadata."""
@@ -77,13 +81,20 @@ def infer_anterior_wall(posterior_wall: Polyline, thickness_mm: float) -> Polyli
     """Anterior pharyngeal wall from the posterior trace.
 
     The anterior wall is the posterior one translated anteriorly (+x) by
-    the oropharyngeal thickness.  Thickness must be positive.
+    the oropharyngeal thickness.  Thickness must be positive.  Raises
+    DegenerateTrace when the shifted points do not form a polyline.
     """
     if not math.isfinite(thickness_mm) or thickness_mm <= 0.0:
         raise ValueError(f"thickness must be positive, got {thickness_mm}")
-    return Polyline(
-        Point2D(p.x + thickness_mm, p.y) for p in posterior_wall.points
-    )
+    try:
+        return Polyline(
+            Point2D(p.x + thickness_mm, p.y) for p in posterior_wall.points
+        )
+    except ValueError as exc:
+        # The shift can round two wall points into one, or leave the float range.
+        raise DegenerateTrace(
+            f"anterior wall {thickness_mm:g} mm forward: {exc}"
+        ) from None
 
 
 def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
@@ -99,7 +110,8 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
     pharynx.  No point is duplicated at either seam.
 
     Raises AnatomyInconsistent when the junction lands more than 20 mm
-    above the last palate point, which indicates mislabeled traces.
+    above the last palate point, or more than 1000 mm from it, which
+    indicates mislabeled traces.
     """
     second_last, last = palate.points[-2], palate.points[-1]
     junction, _ = extend_line_to_polyline(second_last, last, anterior_wall)
@@ -110,6 +122,11 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
         )
     points = list(palate.points)
     gap = distance(last, junction)
+    if gap > _MAX_EXTENSION_MM:
+        raise AnatomyInconsistent(
+            f"palate extension to the anterior wall is {gap:g} mm long, more than "
+            f"{_MAX_EXTENSION_MM:g} mm; traces look inconsistent"
+        )
     if gap > 1e-9:
         steps = max(1, math.ceil(gap / VELUM_STEP_MM))
         for k in range(1, steps):
@@ -162,8 +179,8 @@ def build_speaker_anatomy(
         lowest_palate_y = min(p.y for p in palate.points)
         if center.y >= lowest_palate_y:
             raise AnatomyInconsistent(
-                f"palatal reference center ({center.x:.2f}, {center.y:.2f}) is not "
-                f"below the palate (min palate y = {lowest_palate_y:.2f}); "
+                f"palatal reference center ({center.x:g}, {center.y:g}) is not "
+                f"below the palate (min palate y = {lowest_palate_y:g}); "
                 f"the palate fit looks pathological"
             )
     except (TractvarError, ValueError) as exc:

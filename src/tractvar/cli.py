@@ -8,12 +8,15 @@ Subcommands:
     tractvar anatomy --manifest m.json --out outdir
 
 Verbosity is controlled by the TRACTVAR_LOG environment variable
-(error, warn, info, or debug; default warn).
+(error, warn, info, or debug; default warn).  A usage error is logged as
+one line and exits 1, like any other configuration error.  `main` may be
+called many times in one process; the argument parser is built once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -34,7 +37,8 @@ from .pipeline import (
 )
 from .tvcsv import open_atomic
 
-logger = logging.getLogger(__name__)
+# Named outright: under `python -m tractvar.cli` this module is __main__.
+logger = logging.getLogger("tractvar.cli")
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -53,8 +57,18 @@ def _setup_logging() -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising ArgumentError, so that `main` logs
+    it as one line and returns EXIT_CONFIG instead of exiting with 2."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one argument tree of this process; parsing leaves it unchanged."""
+    parser = _Parser(
         prog="tractvar",
         description="Relative tract variables from pellet trajectories.",
     )
@@ -111,25 +125,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = compare_tvs(args.file_a, args.file_b)
     print(format_table(report))
     if args.json is not None:
+        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         with open_atomic(args.json) as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "compare":
             return _cmd_compare(args)
         return run_anatomy_only(args.manifest, args.out)
-    except ConfigError as exc:
-        logger.error("%s", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (argparse.ArgumentError, ConfigError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
     except DataError as exc:

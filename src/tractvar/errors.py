@@ -76,7 +76,9 @@ class SchemaError(DataError):
 
 class DegenerateTrace(DataError):
     """An anatomical trace has too few distinct points: fewer than two
-    for any trace, or fewer than three for a palate's reference circle."""
+    for any trace, or fewer than three for a palate's reference circle.
+    Also raised for a segment too long or too short for floating-point
+    arithmetic, and for an anterior wall whose shift merges two points."""
 
 
 class InsufficientData(DataError):

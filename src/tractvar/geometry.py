@@ -27,6 +27,7 @@ from .errors import (
     CollinearPoints,
     DegenerateAngle,
     DegenerateFit,
+    DegenerateTrace,
     NoIntersection,
 )
 
@@ -78,7 +79,9 @@ class Polyline:
 
     Consecutive points must be distinct.  Construction precomputes the
     per-segment quantities used by the nearest-point queries; instances
-    are immutable and safe to share across worker threads.
+    are immutable and safe to share across worker threads.  A segment
+    for which any of them leaves the float range (a squared length that
+    overflows or underflows to zero, say) raises DegenerateTrace.
     """
 
     __slots__ = ("_points", "_ax", "_ay", "_dx", "_dy", "_ux", "_uy", "_c0")
@@ -95,18 +98,32 @@ class Polyline:
         ys = np.array([p.y for p in pts], dtype=np.float64)
         ax = xs[:-1]
         ay = ys[:-1]
-        dx = np.diff(xs)
-        dy = np.diff(ys)
-        inv_len2 = 1.0 / (dx * dx + dy * dy)
+        # Folded projection coefficients: t = px*ux + py*uy - c0, already
+        # divided by the squared segment length.
+        with np.errstate(all="ignore"):
+            dx = np.diff(xs)
+            dy = np.diff(ys)
+            len2 = dx * dx + dy * dy
+            inv_len2 = 1.0 / len2
+            ux = dx * inv_len2
+            uy = dy * inv_len2
+            c0 = (ax * dx + ay * dy) * inv_len2
+        # |ux| and |uy| are at most sqrt(inv_len2), so they need no check.
+        bad = ~(np.isfinite(len2) & np.isfinite(inv_len2) & np.isfinite(c0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise DegenerateTrace(
+                f"segment {i} from ({pts[i].x:g}, {pts[i].y:g}) to "
+                f"({pts[i + 1].x:g}, {pts[i + 1].y:g}) is too long or too short "
+                f"for floating-point arithmetic"
+            )
         self._ax = ax
         self._ay = ay
         self._dx = dx
         self._dy = dy
-        # Folded projection coefficients: t = px*ux + py*uy - c0, already
-        # divided by the squared segment length.
-        self._ux = dx * inv_len2
-        self._uy = dy * inv_len2
-        self._c0 = (ax * dx + ay * dy) * inv_len2
+        self._ux = ux
+        self._uy = uy
+        self._c0 = c0
 
     @property
     def points(self) -> tuple[Point2D, ...]:
@@ -286,38 +303,46 @@ def fit_circle(points: Sequence[Point2D]) -> Circle:
     satisfies r^2 = mean |p_i - c|^2.  Exact on noiseless circles.
 
     Raises CollinearPoints when the point spread is flat within
-    TOL_COLLINEAR, and DegenerateFit when the normal equations are
-    singular anyway.
+    TOL_COLLINEAR, and DegenerateFit when the normal equations overflow
+    or are singular anyway.
     """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points to fit a circle, got {len(pts)}")
     xs = np.array([p.x for p in pts], dtype=np.float64)
     ys = np.array([p.y for p in pts], dtype=np.float64)
+    # Coordinates near 1e100 overflow the third moments.  Such a fit is
+    # refused below, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = xs.mean()
+        ym = ys.mean()
+        u = xs - xm
+        v = ys - ym
+        suu = np.dot(u, u)
+        svv = np.dot(v, v)
+        suv = np.dot(u, v)
+        suuu = np.dot(u * u, u)
+        svvv = np.dot(v * v, v)
+        suuv = np.dot(u * u, v)
+        suvv = np.dot(u, v * v)
+        lhs = np.array([[suu, suv], [suv, svv]])
+        rhs = np.array([(suuu + suvv) / 2.0, (svvv + suuv) / 2.0])
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise DegenerateFit("circle-fit moments overflow; coordinates are too large")
     if _spread_twice_area(xs, ys) < TOL_COLLINEAR:
         raise CollinearPoints("cannot fit a circle through collinear points")
-    xm = xs.mean()
-    ym = ys.mean()
-    u = xs - xm
-    v = ys - ym
-    suu = np.dot(u, u)
-    svv = np.dot(v, v)
-    suv = np.dot(u, v)
-    suuu = np.dot(u * u, u)
-    svvv = np.dot(v * v, v)
-    suuv = np.dot(u * u, v)
-    suvv = np.dot(u, v * v)
-    lhs = np.array([[suu, suv], [suv, svv]])
-    rhs = np.array([(suuu + suvv) / 2.0, (svvv + suuv) / 2.0])
     try:
         uc, vc = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFit(f"singular circle-fit system: {exc}") from exc
-    cx = float(xm + uc)
-    cy = float(ym + vc)
-    r2 = float(np.mean((xs - cx) ** 2 + (ys - cy) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx = float(xm + uc)
+        cy = float(ym + vc)
+        r2 = float(np.mean((xs - cx) ** 2 + (ys - cy) ** 2))
     if r2 <= 0.0 or not math.isfinite(r2):
-        raise DegenerateFit(f"fit produced a non-positive squared radius {r2}")
+        raise DegenerateFit(
+            f"fit produced a squared radius of {r2:g}, not a positive finite number"
+        )
     return Circle(Point2D(cx, cy), math.sqrt(r2))
 
 
@@ -361,7 +386,7 @@ def extend_line_to_polyline(
             best_idx = i
     if best_idx < 0:
         raise NoIntersection(
-            f"ray from ({b.x:.3f}, {b.y:.3f}) along ({dx:.3f}, {dy:.3f}) "
+            f"ray from ({b.x:g}, {b.y:g}) along ({dx:g}, {dy:g}) "
             f"never meets the trace"
         )
     t = max(best_t, 0.0)

@@ -222,7 +222,8 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
 
     Normalizes orientation (palates descend in x, walls in y), collapses
     exactly repeated consecutive points with a warning, and raises
-    DegenerateTrace when fewer than two distinct points remain.
+    DegenerateTrace when fewer than two distinct points remain or a
+    segment is out of floating-point range.
     """
     if kind not in ("palate", "wall"):
         raise ValueError(f"kind must be 'palate' or 'wall', got {kind!r}")
@@ -255,7 +256,10 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
             kind,
             axis,
         )
-    return Polyline(points)
+    try:
+        return Polyline(points)
+    except DegenerateTrace as exc:
+        raise DegenerateTrace(f"{path}: {exc}") from None
 
 
 def resample(

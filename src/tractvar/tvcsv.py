@@ -17,6 +17,7 @@ trace readers one set of file, header, row and cell checks, and
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -41,9 +42,12 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
     """Open `path` for writing text through a temporary file beside it.
 
     The temporary file replaces `path` only when the block completes; if
-    the block raises, it is removed and `path` is left as it was.
+    the block raises, it is removed and `path` is left as it was.  A
+    path without a final name, such as "" or ".", is a directory.
     """
     path = Path(path)
+    if not path.name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline=newline, encoding="utf-8") as fh:

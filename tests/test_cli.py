@@ -1,25 +1,30 @@
 """End-to-end command line tests over the synthetic speaker fixture."""
 
+import argparse
 import concurrent.futures
 import json
 import logging
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tractvar
-from tractvar import pipeline
+from tractvar import cli, pipeline
 from tractvar.cli import main
 from tractvar.compare import ComparisonReport, compare_tvs, ppmc
 from tractvar.errors import DataError, TimebaseMismatch
 from tractvar.tract_variables import TvTrajectory
-from tractvar.tvcsv import TV_HEADER, open_atomic, write_tv_csv
+from tractvar.tvcsv import TV_HEADER, open_atomic, read_tv_csv, write_tv_csv
 
 from helpers import (
     ANGLE_TOL,
@@ -738,6 +743,22 @@ class TestCompare:
         mean = sum(scores.values()) / 6.0
         assert payload["average"] == pytest.approx(mean, abs=1e-12)
 
+    def test_json_report_does_not_carry_over(self, tmp_path, capsys):
+        a, b = self.make_tv_files(tmp_path)
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        assert run_cli("compare", a, b, "--json", reports / "r.json") == 0
+        (reports / "r.json").unlink()
+        assert run_cli("compare", a, b) == 0
+        assert list(reports.iterdir()) == []
+
+    def test_json_report_bytes(self, tmp_path, capsys):
+        a, b = self.make_tv_files(tmp_path)
+        report = tmp_path / "r.json"
+        assert run_cli("compare", a, b, "--json", report) == 0
+        expected = json.dumps(compare_tvs(a, b).to_json_dict(), indent=2, sort_keys=True)
+        assert report.read_bytes() == (expected + "\n").encode()
+
     def test_frame_count_mismatch_is_data_error(self, tmp_path):
         root = tmp_path
         short = write_speaker_fixture(
@@ -822,13 +843,25 @@ class TestCompare:
         assert errors == [f"output {report} would overwrite input {clobbered}"]
         assert {p: p.read_bytes() for p in (a, b)} == before
 
+    @pytest.mark.parametrize("target", ["", "."])
+    def test_json_to_a_directory_is_config_error(
+        self, tmp_path, monkeypatch, caplog, capsys, target
+    ):
+        a, b = self.make_tv_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert run_cli("compare", a, b, "--json", target) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["[Errno 21] Is a directory: '.'"]
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_failed_json_write_keeps_previous_report(self, tmp_path, monkeypatch):
         a, b = self.make_tv_files(tmp_path)
         report = tmp_path / "reports" / "report.json"
         report.parent.mkdir()
         assert run_cli("compare", a, b, "--json", report) == 0
         before = report.read_bytes()
-        # A report that cannot be serialised fails json.dump part-way.
+        # A report that cannot be serialised fails before anything is written.
         monkeypatch.setattr(
             ComparisonReport, "to_json_dict", lambda self: {"average": object()}
         )
@@ -877,11 +910,397 @@ class TestAnatomySubcommand:
         assert rc == 2
 
 
+def scaled(coords, factor):
+    return [(x * factor, y * factor) for x, y in coords]
+
+
+class TestOutOfRangeTraces:
+    """Traces whose arithmetic leaves the float range are bad data, with
+    one error line, no numpy warning and numbers at %g size."""
+
+    def run_anatomy(self, tmp_path, caplog, palate=None, wall=None, thickness=None):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        if palate is not None:
+            write_trace_csv(root / "palate.csv", palate)
+        if wall is not None:
+            write_trace_csv(root / "wall.csv", wall)
+        if thickness is not None:
+            entry = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**entry, "thickness_mm": thickness}))
+        rc = run_cli("anatomy", "--manifest", manifest, "--out", tmp_path / "out")
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        return rc, errors, root
+
+    def test_huge_traces(self, tmp_path, caplog):
+        palate = scaled(palate_coords(), 1e200)
+        rc, errors, root = self.run_anatomy(
+            tmp_path, caplog, palate=palate, wall=scaled(wall_coords(), 1e200)
+        )
+        (x0, y0), (x1, y1) = palate[:2]
+        assert (rc, errors) == (2, [
+            f"speaker synth: anatomy failed: {root / 'palate.csv'}: segment 0 from "
+            f"({x0:g}, {y0:g}) to ({x1:g}, {y1:g}) is too long or too short for "
+            f"floating-point arithmetic"
+        ])
+
+    def test_tiny_segment(self, tmp_path, caplog):
+        palate = [(0.0, 0.0), (1e-170, 0.0)] + palate_coords()
+        rc, errors, root = self.run_anatomy(tmp_path, caplog, palate=palate)
+        assert (rc, errors) == (2, [
+            f"speaker synth: anatomy failed: {root / 'palate.csv'}: segment 0 from "
+            f"(0, 0) to (1e-170, 0) is too long or too short for floating-point "
+            f"arithmetic"
+        ])
+
+    def test_huge_palate_point_overflows_the_circle_fit(self, tmp_path, caplog):
+        palate = [(1e120, 10.0)] + palate_coords()
+        rc, errors, _ = self.run_anatomy(tmp_path, caplog, palate=palate)
+        assert (rc, errors) == (
+            2, ["speaker synth: circle-fit moments overflow; coordinates are too large"]
+        )
+
+    def test_far_reference_center_prints_at_g_size(self, tmp_path, caplog):
+        palate = [(1e60, 10.0)] + palate_coords()
+        rc, errors, _ = self.run_anatomy(tmp_path, caplog, palate=palate)
+        assert rc == 2 and len(errors) == 1
+        assert errors[0].startswith("speaker synth: palatal reference center (5e+59, ")
+
+    def test_long_palate_extension(self, tmp_path, caplog):
+        # A 39 m extension, which would be sampled at 1 mm steps.
+        rc, errors, _ = self.run_anatomy(
+            tmp_path, caplog, palate=scaled(palate_coords(), 1e3),
+            wall=scaled(wall_coords(), 1e3),
+        )
+        assert rc == 2 and len(errors) == 1
+        assert errors[0].startswith(
+            "speaker synth: palate extension to the anterior wall is 38763.2 mm long"
+        )
+        assert errors[0].endswith("more than 1000 mm; traces look inconsistent")
+
+    @pytest.mark.parametrize(
+        "thickness, message",
+        [
+            # A wall at x = 1e308 shifted past the float range.
+            (1e308, "non-finite coordinates (inf, 40.0)"),
+            # Wall points 3e-14 mm apart rounded into one.
+            (1e6, "zero-length segment at index 0"),
+        ],
+    )
+    def test_huge_thickness(self, tmp_path, caplog, thickness, message):
+        if thickness == 1e308:
+            wall = [(1e308, y) for _, y in wall_coords()]
+        else:
+            wall = wall_coords()
+            wall.insert(1, (wall[0][0] + 3e-14, wall[0][1]))
+        rc, errors, _ = self.run_anatomy(tmp_path, caplog, wall=wall, thickness=thickness)
+        assert (rc, errors) == (
+            2, [f"speaker synth: anterior wall {thickness:g} mm forward: {message}"]
+        )
+
+
 class TestArgParsing:
     def test_no_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main([])
+        assert main([]) == 1
 
     def test_unknown_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["run", "--manifest", "m.json", "--out", "o", "--parallelism", "x"],
+                "argument --parallelism: invalid int value: 'x'",
+            ),
+            (["run", "--out", "o"], "the following arguments are required: --manifest"),
+            (["compare", "a.tv.csv"], "the following arguments are required: file_b"),
+            (
+                ["anatomy", "--manifest", "m.json", "--out", "o", "--frobnicate"],
+                "unrecognized arguments: --frobnicate",
+            ),
+        ],
+        ids=["invalid-int", "missing-option", "missing-positional", "unknown-flag"],
+    )
+    def test_usage_error_is_one_line_and_exit_1(self, caplog, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "")
+        assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "tractvar.cli", message)
+        ]
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tractvar run")
+
+    @pytest.mark.parametrize(
+        "value, line",
+        [
+            ("0", "ERROR tractvar.cli: parallelism must be >= 1, got 0"),
+            ("x", "ERROR tractvar.cli: argument --parallelism: invalid int value: 'x'"),
+        ],
+    )
+    def test_module_run_logs_as_tractvar_cli(self, tmp_path, value, line):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        rc, lines = run_cli_process(
+            "run", "--manifest", manifest, "--out", tmp_path / "out",
+            "--parallelism", value,
+        )
+        assert (rc, lines) == (1, [line])
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli._build_parser.cache_clear()
+        manifest = write_speaker_fixture(tmp_path / "data")
+        for k in range(3):
+            assert run_cli("anatomy", "--manifest", manifest, "--out", tmp_path / f"o{k}") == 0
+            assert run_cli("run", "--parallelism", "x") == 1
+        # The program's parser and one per subcommand.
+        assert len(built) == 4
+
+    def test_run_flags_do_not_carry_over(self, tmp_path):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        deg, rad = tmp_path / "deg", tmp_path / "rad"
+        assert run_cli("run", "--manifest", manifest, "--out", deg, "--degrees") == 0
+        assert run_cli("run", "--manifest", manifest, "--out", rad) == 0
+        _, degrees, _ = read_tv_columns(deg / "utt00.tv.csv")
+        _, radians, _ = read_tv_columns(rad / "utt00.tv.csv")
+        for v in radians["TBCL"]:
+            assert v == pytest.approx(math.radians(33.75), abs=ANGLE_TOL)
+        assert radians["TBCL"] == pytest.approx([math.radians(v) for v in degrees["TBCL"]])
+
+
+def _lines(change):
+    """Edit: apply `change` to the file's list of lines."""
+    return lambda text: "".join(line + "\n" for line in change(text.splitlines()))
+
+
+def _numbers(columns, change):
+    """Edit: replace every number v in the data columns that `columns(k,
+    timed)` picks with `change(v)`; a pellet file (timed) keeps its time
+    in column 0."""
+    def edit(lines):
+        timed = bool(lines) and lines[0].startswith("t,")
+        out = lines[:1]
+        for line in lines[1:]:
+            cells = line.split(",")
+            for k, cell in enumerate(cells):
+                try:
+                    if columns(k, timed):
+                        cells[k] = change(float(cell))
+                except ValueError:
+                    pass
+            out.append(",".join(cells))
+        return out
+    return _lines(edit)
+
+
+def _scale_coords(factor):
+    return _numbers(lambda k, timed: k > 0 or not timed, lambda v: repr(v * factor))
+
+
+def _scale_times(factor):
+    return _numbers(lambda k, timed: k == 0 and timed, lambda v: repr(v * factor))
+
+
+# Each edit maps a file's text to new text, to bytes, or to None (delete).
+FILE_EDITS = {
+    "empty": lambda text: "",
+    "not-utf8": lambda text: text.encode(errors="surrogateescape") + b"\xff\xfe\n",
+    "delete": lambda text: None,
+    "header-only": _lines(lambda lines: lines[:1]),
+    "two-rows": _lines(lambda lines: lines[:3]),
+    "repeat-last-row": _lines(lambda lines: lines + lines[-1:]),
+    "extra-cell": _lines(lambda lines: lines[:1] + [f"{x},0" for x in lines[1:2]] + lines[2:]),
+    "straight": _lines(
+        lambda lines: lines[:1] + [f"{-20.0 - 5.0 * k!r},{15.0 - k!r}" for k in range(6)]
+    ),
+    "huge-first-point": _lines(lambda lines: lines[:1] + ["1e120,10.0"] + lines[1:]),
+    "nan-cell": _numbers(lambda k, timed: k == 1, lambda v: "nan"),
+    "coords-1e200": _scale_coords(1e200),
+    "coords-1e120": _scale_coords(1e120),
+    "coords-1e3": _scale_coords(1e3),
+    "coords-1e-200": _scale_coords(1e-200),
+    "coords-sentinel": _numbers(lambda k, timed: k > 0 and timed, lambda v: "9.9e5"),
+    "times-1e300": _scale_times(1e300),
+    "times-1e-320": _scale_times(1e-320),
+}
+MANIFEST_VALUES = [
+    None, 0, -1.0, 1e6, 1e308, "", "..", "a/b", "M", [], {}, "nope.csv",
+    "palate.csv", "utt00.csv", ["utt00.csv", "utt00.csv"], ["palate.csv"],
+]
+
+
+class TestCliContract:
+    """Whatever the arguments and files, `main` returns 0, 1 or 2 without
+    raising, logs only one-line `LEVEL name: message` records, and leaves
+    no temporary file and no truncated output."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corpus")
+        write_speaker_fixture(root / "data", n_utterances=2, constant=False)
+        (root / "tv").mkdir()
+        assert run_cli("run", "--manifest", root / "data" / "manifest.json",
+                       "--out", root / "tv") == 0
+        for name, utterance in (("a", "utt00"), ("b", "utt01")):
+            (root / "tv" / f"{utterance}.tv.csv").rename(root / "tv" / f"{name}.tv.csv")
+        (root / "tv" / "synth.anatomy.json").unlink()
+        return root
+
+    @staticmethod
+    def edit_files(work, edits):
+        for target, edit in edits:
+            path = work / target
+            if not path.exists():
+                continue
+            text = path.read_text(errors="surrogateescape")
+            if isinstance(edit, tuple):
+                # A manifest key set to a value, or (None, value) for the
+                # whole manifest.
+                key, value = edit
+                try:
+                    entry = json.loads(text)
+                except ValueError:
+                    continue
+                if key is None:
+                    path.write_text(json.dumps(value))
+                elif isinstance(entry, dict):
+                    path.write_text(json.dumps({**entry, key: value}))
+                continue
+            text = FILE_EDITS[edit](text)
+            if text is None:
+                path.unlink()
+            elif isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text, errors="surrogateescape")
+
+    @staticmethod
+    def argv_for(work, command, flags, out, report):
+        manifest = str(work / "data" / "manifest.json")
+        outs = {
+            "out": work / "out",
+            "data": work / "data",
+            "a file": work / "data" / "manifest.json",
+            "under a file": work / "data" / "palate.csv" / "out",
+        }
+        if command == "compare":
+            a, b = str(work / "tv" / "a.tv.csv"), str(work / "tv" / "b.tv.csv")
+            argv = ["compare", a, b]
+            if report is not None:
+                argv += ["--json", str({"report": work / "report.json", "a": a,
+                                        "missing dir": work / "no" / "r.json",
+                                        "a dir": work / "tv"}[report])]
+            return argv
+        argv = [command, "--manifest", manifest, "--out", str(outs[out])]
+        if command == "run":
+            for flag in flags:
+                argv += flag
+        return argv
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["run", "run", "anatomy", "compare"]),
+        flags=st.lists(
+            st.one_of(
+                st.sampled_from([["--degrees"], ["--clamp-tbcd"], ["--plots"]]),
+                st.tuples(st.just("--rate"), st.sampled_from(
+                    ["145.0", "72.5", "0.0", "-1.0", "nan", "5e-324", "1e300", "x", ""]
+                )).map(list),
+                st.tuples(st.just("--parallelism"), st.sampled_from(
+                    ["1", "2", "0", "-1", "x", ""]
+                )).map(list),
+            ),
+            max_size=3,
+        ),
+        out=st.sampled_from(["out", "out", "out", "data", "a file", "under a file"]),
+        report=st.sampled_from([None, "report", "a", "missing dir", "a dir"]),
+        edits=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["data/palate.csv", "data/wall.csv",
+                                     "data/utt00.csv", "data/manifest.json",
+                                     "tv/b.tv.csv"]),
+                    st.sampled_from(sorted(FILE_EDITS)),
+                ),
+                st.tuples(
+                    st.just("data/manifest.json"),
+                    st.tuples(
+                        st.sampled_from([None, "speaker_id", "sex", "thickness_mm",
+                                         "palate", "posterior_wall", "utterances"]),
+                        st.sampled_from(MANIFEST_VALUES),
+                    ),
+                ),
+            ),
+            max_size=2,
+        ),
+        token_edits=st.lists(
+            st.tuples(
+                st.sampled_from(["drop", "insert", "replace"]),
+                st.integers(0, 12),
+                st.sampled_from(["--frobnicate", "-x", "--", "run", "compare",
+                                 "--json", "--out", "--manifest", "--degrees", ""]),
+            ),
+            max_size=1,
+        ),
+    )
+    def test_exit_code_log_lines_and_outputs(
+        self, corpus, tmp_path, monkeypatch, caplog, capsys,
+        command, flags, out, report, edits, token_edits,
+    ):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            work = Path(scratch)
+            # Relative paths from mutated tokens land in the scratch directory.
+            monkeypatch.chdir(work)
+            for name in ("data", "tv"):
+                shutil.copytree(corpus / name, work / name)
+            self.edit_files(work, edits)
+            argv = self.argv_for(work, command, flags, out, report)
+            for op, k, token in token_edits:
+                k %= len(argv) + 1
+                if op == "insert":
+                    argv.insert(k, token)
+                elif k < len(argv):
+                    if op == "drop":
+                        del argv[k]
+                    else:
+                        argv[k] = token
+            before = {p: p.stat().st_mtime_ns for p in work.rglob("*") if p.is_file()}
+            caplog.clear()
+            capsys.readouterr()
+
+            rc = main(argv)
+
+            assert rc in (0, 1, 2)
+            assert capsys.readouterr().err == ""
+            for r in caplog.records:
+                line = f"{r.levelname} {r.name}: {r.getMessage()}"
+                assert re.fullmatch(r"(DEBUG|INFO|WARNING|ERROR) tractvar(\.\w+)+: [^\n]+", line)
+            written = [p for p in work.rglob("*") if p.is_file()
+                       and before.get(p) != p.stat().st_mtime_ns]
+            assert [p for p in written if p.name.endswith(".tmp")] == []
+            for path in written:
+                if path.name.endswith(".tv.csv"):
+                    read_tv_csv(path)
+                elif path.suffix == ".json":
+                    json.loads(path.read_text())
+                elif path.suffix == ".svg":
+                    assert path.read_text().endswith("</svg>")
