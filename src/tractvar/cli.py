@@ -30,6 +30,7 @@ from .pipeline import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    LOG_FORMAT,
     RunConfig,
     _realpath,
     run_anatomy_only,
@@ -52,9 +53,7 @@ _LOG_LEVELS = {
 def _setup_logging() -> None:
     name = os.environ.get("TRACTVAR_LOG", "warn").strip().lower()
     level = _LOG_LEVELS.get(name, logging.WARNING)
-    logging.basicConfig(
-        level=level, format="%(levelname)s %(name)s: %(message)s"
-    )
+    logging.basicConfig(level=level, format=LOG_FORMAT)
 
 
 class _Parser(argparse.ArgumentParser):

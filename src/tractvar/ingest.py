@@ -395,13 +395,24 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
         thickness = float(thickness)
     if not isinstance(utterances, list):
         raise ConfigError(f"speaker {speaker_id}: utterances must be a list of paths")
+
+    def path_of(key: str, value: object) -> Path:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(
+                f"speaker {speaker_id}: {key} must be a non-empty path string, "
+                f"got {value!r}"
+            )
+        return base / value
+
     return SpeakerSpec(
         speaker_id=speaker_id,
         sex=sex,
         thickness_mm=thickness,
-        palate_path=base / str(palate),
-        posterior_wall_path=base / str(wall),
-        utterance_paths=tuple(base / str(u) for u in utterances),
+        palate_path=path_of("palate", palate),
+        posterior_wall_path=path_of("posterior_wall", wall),
+        utterance_paths=tuple(
+            path_of(f"utterances[{k}]", u) for k, u in enumerate(utterances)
+        ),
     )
 
 
@@ -427,10 +438,10 @@ def _reject_duplicates(path: Path, speakers: list[SpeakerSpec]) -> None:
 def load_manifest(path: str | Path) -> list[SpeakerSpec]:
     """Load a speaker manifest (single object or list of objects).
 
-    Raises ConfigError for malformed entries, for a speaker id that is
-    not a plain file name, and when two speakers share an id or two
-    utterance files share a stem, since either would make one output
-    overwrite another.
+    Raises ConfigError for malformed entries, for a path field that is
+    not a non-empty string, for a speaker id that is not a plain file
+    name, and when two speakers share an id or two utterance files share
+    a stem, since either would make one output overwrite another.
     """
     path = Path(path)
     try:

@@ -1,10 +1,12 @@
 """Batch processing: manifest in, per-utterance TV files out.
 
-Utterances are independent of each other.  With parallelism 1 they run
-one after another in the calling thread; above 1 the run forks one pool
-of worker processes, at most one per utterance.  Every output is a pure
-function of its own input file plus the speaker anatomy, which keeps
-results byte-identical at any parallelism level.
+A run has two phases.  First every speaker's anatomy is derived and
+written, in the calling process.  Then each utterance is a pure function
+of its own input file plus its speaker's anatomy.  With parallelism 1
+the utterances run one after another in the calling thread; above 1 the
+run forks one pool of worker processes, at most one per utterance, hands
+each worker the list of (anatomy, utterance) jobs once, and sends it
+only job indices.  Results are byte-identical at any parallelism level.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 import logging
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .anatomy import SpeakerAnatomy, build_speaker_anatomy
-from .errors import ConfigError, DataError, DegenerateAngle
+from .errors import ConfigError, DataError, DegenerateAngle, ParseError, SchemaError
 from .ingest import (
     SpeakerSpec,
     TARGET_RATE_HZ,
@@ -35,6 +36,9 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
+
+# The one log line format, of the command line and of spawned workers.
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 # Configuration and I/O trouble outranks bad data in the exit code.
 _SEVERITY = {EXIT_OK: 0, EXIT_DATA: 1, EXIT_CONFIG: 2}
@@ -148,25 +152,18 @@ def _prepare_speaker(
     return anat, EXIT_OK
 
 
-def _process_utterance(
-    spec: SpeakerSpec,
-    anat: SpeakerAnatomy,
-    utterance_path: Path,
-    config: RunConfig,
-) -> Path:
-    trajectory, report = parse_pellet_file(
-        utterance_path, speaker_id=spec.speaker_id
-    )
+def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> Path:
+    trajectory, report = parse_pellet_file(path, speaker_id=anat.speaker_id)
     uniform = resample(trajectory, config.target_rate, report)
     tvs = compute_trajectory(uniform, anat, clamp_tbcd=config.clamp_tbcd)
-    out_csv, out_svg = _utterance_outputs(utterance_path, config.output_dir)
+    out_csv, out_svg = _utterance_outputs(path, config.output_dir)
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
         _write_text(out_svg, tv_svg(tvs, degrees=config.degrees))
     logger.info(
         "%s/%s: %d frames in, %d out, %d mistracked, %d pellets interpolated",
-        spec.speaker_id,
-        utterance_path.stem,
+        anat.speaker_id,
+        path.stem,
         report.frames_read,
         len(tvs),
         report.frames_mistracked,
@@ -175,52 +172,58 @@ def _process_utterance(
     return out_csv
 
 
-def _attempt_utterance(
-    spec: SpeakerSpec,
-    anat: SpeakerAnatomy,
-    utterance_path: Path,
-    config: RunConfig,
-) -> int:
+def _attempt_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> int:
     """Process one utterance; EXIT_OK on success, else the code that
     names what went wrong."""
     try:
-        _process_utterance(spec, anat, utterance_path, config)
+        _process_utterance(anat, path, config)
     except DegenerateAngle as exc:
         logger.error(
             "utterance %s: frame %s (t = %r s): %s",
-            utterance_path, exc.frame, exc.t, exc,
+            path, exc.frame, exc.t, exc,
         )
         return EXIT_DATA
     except OSError as exc:
-        logger.error("utterance %s: %s", utterance_path, exc)
+        logger.error("utterance %s: %s", path, exc)
         return EXIT_CONFIG
+    except (ParseError, SchemaError) as exc:
+        # The message already starts with the path, line and column.
+        logger.error("utterance %s", exc)
+        return EXIT_DATA
     except DataError as exc:
-        logger.error("utterance %s: %s", utterance_path, exc)
+        logger.error("utterance %s: %s", path, exc)
         return EXIT_DATA
     return EXIT_OK
 
 
-def _utterance_jobs(
-    speakers: list[SpeakerSpec], config: RunConfig, codes: list[int]
-) -> Iterator[tuple[SpeakerSpec, SpeakerAnatomy, Path]]:
-    """Yield (spec, anatomy, path) for each utterance, preparing each
-    speaker's anatomy when its turn comes and appending its exit code to
-    `codes`.  A speaker whose anatomy fails yields nothing."""
-    for spec in speakers:
-        anat, code = _prepare_speaker(spec, config.output_dir, config.plots)
-        codes.append(code)
-        if anat is not None:
-            for path in spec.utterance_paths:
-                yield spec, anat, path
+# A pool worker's jobs and run options, set once by `_init_worker`.
+_worker_jobs: tuple[list[tuple[SpeakerAnatomy, Path]], RunConfig] | None = None
+
+
+def _init_worker(
+    jobs: list[tuple[SpeakerAnatomy, Path]], config: RunConfig, log_level: int | None
+) -> None:
+    """Keep the run's jobs in this worker.  A worker that was not forked
+    has no logging set up; `log_level` then sets it up as the parent's."""
+    global _worker_jobs
+    _worker_jobs = jobs, config
+    if log_level is not None:
+        logging.basicConfig(level=log_level, format=LOG_FORMAT)
+
+
+def _run_job(index: int) -> int:
+    jobs, config = _worker_jobs
+    return _attempt_utterance(*jobs[index], config)
 
 
 def run_pipeline(config: RunConfig) -> int:
     """Process every speaker and utterance in the manifest.
 
-    Speaker-level anatomy failures skip that speaker's utterances and
-    force a nonzero exit.  Individual utterance failures are logged and
-    skipped; they only force a nonzero exit when every utterance failed.
-    A worker process that dies ends the run with exit 1.
+    Every speaker's anatomy is derived first.  Speaker-level anatomy
+    failures skip that speaker's utterances and force a nonzero exit.
+    Individual utterance failures are logged and skipped; they only force
+    a nonzero exit when every utterance failed.  A worker process that
+    dies ends the run with exit 1.
     Exit codes: 0 success, 1 configuration or I/O trouble, 2 bad data.
     """
     speakers = _load_speakers(
@@ -231,24 +234,34 @@ def run_pipeline(config: RunConfig) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     codes = [EXIT_OK]
-    jobs = _utterance_jobs(speakers, config, codes)
-    workers = min(config.parallelism, sum(len(s.utterance_paths) for s in speakers))
+    jobs: list[tuple[SpeakerAnatomy, Path]] = []
+    for spec in speakers:
+        anat, code = _prepare_speaker(spec, config.output_dir, config.plots)
+        codes.append(code)
+        if anat is not None:
+            jobs += [(anat, path) for path in spec.utterance_paths]
+    workers = min(config.parallelism, len(jobs))
     if workers < 2:
         outcomes = [_attempt_utterance(*job, config) for job in jobs]
     else:
         # Imported here so that serial runs never load them.  Forked
-        # workers inherit the loaded modules and the logging setup, where
-        # spawned ones would import numpy again each.
+        # workers inherit the jobs, the loaded modules and the logging
+        # setup; spawned ones unpickle the jobs once each.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        log_level = None if fork else logger.getEffectiveLevel()
         try:
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                pending = [pool.submit(_attempt_utterance, *job, config) for job in jobs]
-                outcomes = [future.result() for future in pending]
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=context,
+                initializer=_init_worker,
+                initargs=(jobs, config, log_level),
+            ) as pool:
+                outcomes = list(pool.map(_run_job, range(len(jobs))))
         except BrokenProcessPool as exc:
             logger.error("run failed: a worker process died (%s)", exc)
             return EXIT_CONFIG

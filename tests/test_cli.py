@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tractvar
 from tractvar import cli, pipeline
+from tractvar.anatomy import SpeakerAnatomy
 from tractvar.cli import main
 from tractvar.compare import ComparisonReport, compare_tvs, ppmc
 from tractvar.errors import DataError, TimebaseMismatch
@@ -241,9 +243,39 @@ class TestRun:
         assert rc == 2
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [
-            f"utterance {root / 'utt00.csv'}: {root / 'utt00.csv'}: "
+            f"utterance {root / 'utt00.csv'}: "
             f"1 interval(s) over 1e-320 s give no finite sample rate"
         ]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda lines: [lines[0].replace("ULx", "ULX")] + lines[1:],
+                ": header does not match the pellet schema (missing columns ['ULx'])",
+            ),
+            (
+                # The first pellet cell of the second data row.
+                lambda lines: lines[:2]
+                + [re.sub(",[^,]*", ",oops", lines[2], count=1)]
+                + lines[3:],
+                ":3 (ULx): cannot parse 'oops' as a number",
+            ),
+        ],
+        ids=["header", "cell"],
+    )
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_parse_error_names_the_file_once(self, tmp_path, edit, message, parallelism):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        path = root / "utt01.csv"
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+        rc, lines = run_cli_process(
+            "run", "--manifest", manifest, "--out", tmp_path / "out",
+            "--parallelism", parallelism,
+        )
+        assert rc == 0
+        assert lines == [f"ERROR tractvar.pipeline: utterance {path}{message}"]
 
     @pytest.mark.parametrize(
         "palate, message",
@@ -403,6 +435,28 @@ class TestRunRejectsBadConfig:
             assert rc == 1
             self.assert_one_line_error(caplog, "thickness_mm")
 
+    @pytest.mark.parametrize("value", [None, {}, {"path": "utt00.csv"}, 0, 1.5,
+                                       True, [], ["palate.csv"], ""])
+    @pytest.mark.parametrize("key", ["palate", "posterior_wall", "utterances[1]"])
+    def test_path_fields_must_be_strings(self, tmp_path, caplog, key, value):
+        manifest = write_speaker_fixture(tmp_path / "data", n_utterances=2)
+        entry = json.loads(manifest.read_text())
+        if key == "utterances[1]":
+            entry["utterances"][1] = value
+        else:
+            entry[key] = value
+        manifest.write_text(json.dumps(entry))
+        for command in ("run", "anatomy"):
+            caplog.clear()
+            rc = run_cli(command, "--manifest", manifest, "--out", tmp_path / command)
+            assert rc == 1
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert errors == [
+                f"cannot load manifest: speaker synth: {key} must be a non-empty "
+                f"path string, got {value!r}"
+            ]
+        assert not (tmp_path / "run").exists() and not (tmp_path / "anatomy").exists()
+
     def test_speaker_id_cannot_leave_the_output_dir(self, tmp_path, caplog):
         manifest = write_speaker_fixture(tmp_path / "data", speaker_id="../evil")
         out = tmp_path / "data" / "out"
@@ -516,13 +570,15 @@ class RecordingPool(concurrent.futures.ProcessPoolExecutor):
 
 
 class InlinePool(concurrent.futures.Executor):
-    """Records its size and runs each task at once in the calling
-    process, so that no worker is ever started."""
+    """Records its size and runs its initializer and each task at once in
+    the calling process, so that no worker is ever started."""
 
     built: list[int] = []
 
-    def __init__(self, max_workers=None, mp_context=None):
+    def __init__(self, max_workers=None, mp_context=None, initializer=None, initargs=()):
         self.built.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def submit(self, fn, /, *args, **kwargs):
         future = concurrent.futures.Future()
@@ -616,6 +672,8 @@ class TestExecutor:
     ):
         monkeypatch.setattr(InlinePool, "built", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        # The initializer runs here; the worker state it sets is undone.
+        monkeypatch.setattr(pipeline, "_worker_jobs", None)
         manifest = self.two_speaker_manifest(tmp_path / "data")
         out = tmp_path / "out"
         assert run_cli(
@@ -635,10 +693,10 @@ class TestExecutor:
         # The patch is made before the pool forks, so workers inherit it.
         real_process = pipeline._process_utterance
 
-        def dies_on_utt02(spec, anat, path, config):
+        def dies_on_utt02(anat, path, config):
             if path.stem == "utt02":
                 os._exit(3)
-            return real_process(spec, anat, path, config)
+            return real_process(anat, path, config)
 
         monkeypatch.setattr(pipeline, "_process_utterance", dies_on_utt02)
         manifest = self.two_speaker_manifest(tmp_path / "data")
@@ -681,6 +739,64 @@ class TestExecutor:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert len(list((tmp_path / "out").glob("*.tv.csv"))) == 4
+
+    @staticmethod
+    def assert_same_outputs(a, b):
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_forked_pool_pickles_no_anatomy(self, tmp_path, monkeypatch):
+        # Forked workers inherit the jobs; only indices and exit codes
+        # cross the process boundary.
+        def refuse(self, protocol):
+            raise pickle.PicklingError("a SpeakerAnatomy was pickled")
+
+        monkeypatch.setattr(SpeakerAnatomy, "__reduce_ex__", refuse)
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        for n in (1, 2):
+            assert run_cli(
+                "run", "--manifest", manifest, "--out", tmp_path / f"p{n}",
+                "--plots", "--parallelism", n,
+            ) == 0
+        self.assert_same_outputs(tmp_path / "p1", tmp_path / "p2")
+
+    def test_spawned_workers_log_like_forked_ones(self, tmp_path):
+        manifest = self.two_speaker_manifest(tmp_path / "data")
+        bad = tmp_path / "data" / "utt03.csv"
+        bad.write_text(bad.read_text().replace("ULx", "ULX", 1))
+        # Runs the command line where the platform offers only `spawn`,
+        # and prints the start methods that the run asked for.
+        spawn_only = (
+            "import multiprocessing, sys\n"
+            "from tractvar.cli import main\n"
+            "get_context, asked = multiprocessing.get_context, []\n"
+            "multiprocessing.get_all_start_methods = lambda: ['spawn']\n"
+            "multiprocessing.get_context = lambda method=None: (\n"
+            "    asked.append(method) or get_context(method or 'spawn'))\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(asked)\n"
+            "sys.exit(rc)\n"
+        )
+        procs = {
+            n: run_python(
+                *(["-m", "tractvar.cli"] if n == 1 else ["-c", spawn_only]),
+                "run", "--manifest", manifest, "--out", tmp_path / f"p{n}",
+                "--parallelism", n, TRACTVAR_LOG="info",
+            )
+            for n in (1, 2)
+        }
+        assert [procs[n].returncode for n in (1, 2)] == [0, 0]
+        assert procs[2].stdout.strip() == "[None]"
+        lines = {n: sorted(procs[n].stderr.splitlines()) for n in (1, 2)}
+        assert lines[2] == lines[1]
+        assert [line for line in lines[1] if not line.startswith("INFO ")] == [
+            f"ERROR tractvar.pipeline: utterance {bad}: "
+            f"header does not match the pellet schema (missing columns ['ULx'])"
+        ]
+        assert len(lines[1]) == 4
+        self.assert_same_outputs(tmp_path / "p1", tmp_path / "p2")
 
 
 class TestAtomicOutputs:
@@ -1139,6 +1255,7 @@ FILE_EDITS = {
 MANIFEST_VALUES = [
     None, 0, -1.0, 1e6, 1e308, "", "..", "a/b", "M", [], {}, "nope.csv",
     "palate.csv", "utt00.csv", ["utt00.csv", "utt00.csv"], ["palate.csv"],
+    {"path": "palate.csv"}, [None], [{}], [0], [""], [["utt00.csv"]],
 ]
 
 
