@@ -9,10 +9,9 @@ radians on (-pi, pi].
 The polyline distance queries are the per-frame hot path, so `Polyline`
 precomputes per-segment arrays once and `nearest_many` answers whole
 blocks of points at a time, vectorized over points and segments.  It is
-the one nearest-point kernel: `circle_polyline_contacts` and
-`circle_polyline_clearance` are built on it, and the test suite keeps a
-point-at-a-time twin (`tests/reference.py`) that it must match bit for
-bit.
+the one nearest-point kernel: `circle_polyline_contacts` is built on it,
+and the test suite keeps a point-at-a-time twin (`tests/reference.py`)
+that it must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import (
     CollinearPoints,
-    DegenerateAngle,
     DegenerateFit,
     DegenerateTrace,
     NoIntersection,
@@ -182,22 +180,6 @@ class Polyline:
         return index, d2, cx, cy
 
 
-@dataclass(frozen=True, slots=True)
-class ClearanceResult:
-    """Outcome of a minimum-distance query against a trace.
-
-    `distance` is signed for circle queries (negative means the trace
-    penetrates the circle) and non-negative for point queries.  The two
-    closest points identify where the minimum is attained: one on the
-    trace, one on the query object.
-    """
-
-    distance: float
-    closest_trace_point: Point2D
-    closest_object_point: Point2D
-    segment_index: int
-
-
 def distance(p: Point2D, q: Point2D) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p.x - q.x, p.y - q.y)
@@ -221,56 +203,6 @@ def circle_polyline_contacts(
         ox = cx + (px - cx) * scale
         oy = cy + (py - cy) * scale
     return index, center_dist, px, py, ox, oy
-
-
-def circle_polyline_clearance(circle: Circle, trace: Polyline) -> ClearanceResult:
-    """Signed clearance between a circle and a trace.
-
-    Positive clearance is the gap between the circle boundary and the
-    trace; negative means the trace comes closer to the center than the
-    radius (penetration).  The attaining circle point lies on the ray
-    from the center through the closest trace point.  Raises
-    DegenerateAngle when the trace passes through the center.
-    """
-    c = circle.center
-    index, center_dist, px, py, ox, oy = (
-        a.item()
-        for a in circle_polyline_contacts(
-            np.array([c.x]), np.array([c.y]), circle.radius, trace
-        )
-    )
-    if center_dist < MIN_ANGLE_RADIUS:
-        raise DegenerateAngle(CENTER_ON_TRACE)
-    return ClearanceResult(
-        distance=center_dist - circle.radius,
-        closest_trace_point=Point2D(px, py),
-        closest_object_point=Point2D(ox, oy),
-        segment_index=index,
-    )
-
-
-def circumcircle(a: Point2D, b: Point2D, c: Point2D) -> Circle:
-    """The unique circle through three non-collinear points.
-
-    Raises CollinearPoints when twice the triangle area falls below
-    TOL_COLLINEAR.
-    """
-    abx = b.x - a.x
-    aby = b.y - a.y
-    acx = c.x - a.x
-    acy = c.y - a.y
-    cross2 = abx * acy - aby * acx
-    if abs(cross2) < TOL_COLLINEAR:
-        raise CollinearPoints(
-            f"points are collinear within tolerance (twice area = {abs(cross2):.3e})"
-        )
-    ab2 = abx * abx + aby * aby
-    ac2 = acx * acx + acy * acy
-    inv = 0.5 / cross2
-    ux = (acy * ab2 - aby * ac2) * inv
-    uy = (abx * ac2 - acx * ab2) * inv
-    center = Point2D(a.x + ux, a.y + uy)
-    return Circle(center, math.hypot(ux, uy))
 
 
 def _spread_twice_area(xs: np.ndarray, ys: np.ndarray) -> float:

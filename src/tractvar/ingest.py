@@ -170,7 +170,6 @@ def parse_pellet_file(
     *,
     speaker_id: str = "",
     utterance_id: str | None = None,
-    sentinel_magnitude: float = SENTINEL_MAGNITUDE,
 ) -> tuple[PelletTrajectory, IngestReport]:
     """Read one utterance's pellet CSV.
 
@@ -195,7 +194,7 @@ def parse_pellet_file(
         raise ParseError(f"need at least 2 rows, got {n}", path)
     t = table[:, 0]
     xy = table[:, 1:].reshape(n, len(PELLET_NAMES), 2)
-    valid = (np.abs(xy) < sentinel_magnitude).all(axis=2)
+    valid = (np.abs(xy) < SENTINEL_MAGNITUDE).all(axis=2)
     report = IngestReport(
         frames_read=n,
         frames_mistracked=int(np.count_nonzero(~valid.all(axis=1))),

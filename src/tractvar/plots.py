@@ -48,16 +48,18 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
     everything = palate + extension + anterior + posterior + [center]
     xs = [p[0] for p in everything]
     ys = [p[1] for p in everything]
+    x0 = min(xs)
+    y0 = min(ys)
     w, h = _ANATOMY_SIZE
-    span_x = max(xs) - min(xs) or 1.0
-    span_y = max(ys) - min(ys) or 1.0
+    span_x = max(xs) - x0 or 1.0
+    span_y = max(ys) - y0 or 1.0
     scale = min((w - 2 * _MARGIN) / span_x, (h - 2 * _MARGIN) / span_y)
 
     def to_px(p: tuple[float, float]) -> tuple[float, float]:
         # +y is superior anatomically but down in SVG, so flip.
         return (
-            _MARGIN + (p[0] - min(xs)) * scale,
-            h - _MARGIN - (p[1] - min(ys)) * scale,
+            _MARGIN + (p[0] - x0) * scale,
+            h - _MARGIN - (p[1] - y0) * scale,
         )
 
     traces = [palate, extension, anterior, posterior]

@@ -248,7 +248,8 @@ def compute_trajectory(
     lips = xy[rows, _UL] - xy[rows, _LL]
     values[rows, _LA] = _hypot(lips[:, 0], lips[:, 1])
 
-    # Tongue body: the circle through T2, T3, T4, as in `circumcircle`.
+    # Tongue body: the circle through T2, T3, T4, as in
+    # `tests/reference.circumcircle`.
     body = np.flatnonzero(valid[:, _T2] & valid[:, _T3] & valid[:, _T4])
     a = xy[body, _T2]
     ab = xy[body, _T3] - a

@@ -5,14 +5,16 @@ once.  The functions here compute one `PelletFrame` at a time with
 scalar IEEE operations in the same order, so the batched engine must
 match them bit for bit, raising the same `DegenerateAngle` wherever
 they raise one.  `nearest` is the point-at-a-time twin of
-`Polyline.nearest_many`.  The helpers at the end build trajectories from
-frames and write pellet files, which only tests need.
+`Polyline.nearest_many`, and `circle_polyline_clearance` the scalar
+twin of `circle_polyline_contacts`.  The helpers at the end build
+trajectories from frames and write pellet files, which only tests need.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
@@ -23,11 +25,10 @@ from tractvar.anatomy import SpeakerAnatomy
 from tractvar.errors import CollinearPoints, DegenerateAngle
 from tractvar.geometry import (
     MIN_ANGLE_RADIUS,
+    TOL_COLLINEAR,
     Circle,
-    ClearanceResult,
     Point2D,
     Polyline,
-    circumcircle,
     distance,
 )
 from tractvar.ingest import PELLET_HEADER, PelletTrajectory
@@ -44,6 +45,22 @@ from tractvar.tract_variables import (
 
 # Value written back out for invalid pellets.
 SENTINEL_OUT = 1e6
+
+
+@dataclass(frozen=True, slots=True)
+class ClearanceResult:
+    """Outcome of a minimum-distance query against a trace.
+
+    `distance` is signed for circle queries (negative means the trace
+    penetrates the circle) and non-negative for point queries.  The two
+    closest points identify where the minimum is attained: one on the
+    trace, one on the query object.
+    """
+
+    distance: float
+    closest_trace_point: Point2D
+    closest_object_point: Point2D
+    segment_index: int
 
 
 @lru_cache(maxsize=16)
@@ -137,6 +154,30 @@ def circle_polyline_clearance(circle: Circle, trace: Polyline) -> ClearanceResul
         closest_object_point=on_circle,
         segment_index=i,
     )
+
+
+def circumcircle(a: Point2D, b: Point2D, c: Point2D) -> Circle:
+    """The unique circle through three non-collinear points.
+
+    Raises CollinearPoints when twice the triangle area falls below
+    TOL_COLLINEAR.
+    """
+    abx = b.x - a.x
+    aby = b.y - a.y
+    acx = c.x - a.x
+    acy = c.y - a.y
+    cross2 = abx * acy - aby * acx
+    if abs(cross2) < TOL_COLLINEAR:
+        raise CollinearPoints(
+            f"points are collinear within tolerance (twice area = {abs(cross2):.3e})"
+        )
+    ab2 = abx * abx + aby * aby
+    ac2 = acx * acx + acy * acy
+    inv = 0.5 / cross2
+    ux = (acy * ab2 - aby * ac2) * inv
+    uy = (abx * ac2 - acx * ab2) * inv
+    center = Point2D(a.x + ux, a.y + uy)
+    return Circle(center, math.hypot(ux, uy))
 
 
 def angle_from_reference(center: Point2D, p: Point2D) -> float:

@@ -4,7 +4,9 @@ Each test states its tolerance inline.  Checks 2 and 3 drive the geometry
 kernels against brute-force oracles at scale; 4 and 5 pin the anatomy
 and the end-to-end pipeline to analytically known values; 6 and 7 pin
 resampling and correlation arithmetic; 8 and 9 cover determinism under
-parallelism and the single-threaded throughput budget.
+parallelism and the single-threaded throughput budget.  A last check
+pins the paper's contribution: a pharyngeal constriction that only the
+extended palate measures.
 """
 
 import dataclasses
@@ -19,11 +21,9 @@ from tractvar.anatomy import build_speaker_anatomy, Sex
 from tractvar.cli import main
 from tractvar.compare import compare_tvs, format_table, ppmc
 from tractvar.geometry import (
-    Circle,
     Point2D,
     Polyline,
-    circle_polyline_clearance,
-    circumcircle,
+    circle_polyline_contacts,
     fit_circle,
 )
 from tractvar.ingest import PelletTrajectory, resample
@@ -32,18 +32,26 @@ from tractvar.tvcsv import TV_NAMES, write_tv_csv
 
 from helpers import (
     ANGLE_TOL,
+    ARC_END_DEG,
+    ARC_START_DEG,
+    ARC_STEP_DEG,
     DISTANCE_TOL,
     EXPECTED_TV,
+    PALATE_CENTER,
+    PALATE_RADIUS,
+    TB_RADIUS_MM,
     brute_points_to_polyline,
     make_frame,
+    on_arc,
     read_tv_columns,
     reference_pellets,
     synthetic_anatomy,
     wall_coords,
     wobbled_pellets,
+    write_pellet_csv,
     write_speaker_fixture,
 )
-from reference import pellet_trajectory, tv_trajectory
+from reference import circumcircle, pellet_trajectory, tv_trajectory
 
 
 def tv_file_from_frames(path, n=40, negate=None):
@@ -109,11 +117,13 @@ def test_criterion_2_clearance_against_brute_oracle():
         )
         if center_dist <= radius + 0.05:
             continue
-        got = circle_polyline_clearance(Circle(Point2D(cx, cy), radius), poly)
+        _, got, _, _, _, _ = circle_polyline_contacts(
+            np.array([cx]), np.array([cy]), radius, poly
+        )
         oracle = brute_points_to_polyline(
             cx + radius * unit_x, cy + radius * unit_y, poly
         )
-        worst = max(worst, abs(got.distance - oracle))
+        worst = max(worst, abs(float(got[0]) - radius - oracle))
         checked += 1
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3, f"worst clearance error {worst} mm"
@@ -366,3 +376,93 @@ def test_criterion_9_throughput_budget():
     assert elapsed < 5.0, f"TV computation took {elapsed:.2f} s"
     print(f"CRITERION 9: PASS (87,000 frames x 200-point boundary in "
           f"{elapsed:.2f} s < 5 s, single-threaded)")
+
+
+# The fixture's anterior pharyngeal wall: the posterior wall at x = -80
+# moved 5.8 mm forward (criterion 4).
+ANTERIOR_X = -74.2
+
+# Gaps (mm) to the anterior wall at each height of the pharyngeal frames.
+PHARYNX_GAPS = (1.0, 2.0, 4.0, 8.0)
+
+
+def pharyngeal_sweep(gap=2.0):
+    """Tongue-body centers sweeping from a velar constriction to a
+    pharyngeal one, with the closed-form TBCD and TBCL of each.
+
+    The contact runs back along the palate arc (centers on chord-midpoint
+    rays, as in helpers), then down the soft-palate line (centers on its
+    normal), each `gap` mm away.  Below the junction it runs down the
+    anterior wall, where the gap steps through PHARYNX_GAPS at each of
+    three heights.  Returns center x, center y, TBCD, TBCL and the mask
+    of pharyngeal frames, as arrays.
+    """
+    rows = []  # center x, center y, TBCD, contact x, contact y, pharyngeal
+    offset = PALATE_RADIUS - gap - TB_RADIUS_MM
+    chord_gap = PALATE_RADIUS * math.cos(math.radians(ARC_STEP_DEG / 2)) - offset
+    for k in range(59, 130, 5):
+        deg = ARC_START_DEG - ARC_STEP_DEG * (k + 0.5)
+        rows.append((*on_arc(deg, offset), chord_gap - TB_RADIUS_MM,
+                     *on_arc(deg, offset + TB_RADIUS_MM), False))
+    # The soft-palate line continues the last palate chord.
+    (ex, ey), (px, py) = on_arc(ARC_END_DEG), on_arc(ARC_END_DEG + ARC_STEP_DEG)
+    ux, uy = ex - px, ey - py
+    norm = math.hypot(ux, uy)
+    ux, uy = ux / norm, uy / norm
+    for along in range(2, 21, 3):
+        qx, qy = ex + along * ux, ey + along * uy
+        rows.append((qx - (gap + TB_RADIUS_MM) * uy, qy + (gap + TB_RADIUS_MM) * ux,
+                     gap, qx - gap * uy, qy + gap * ux, False))
+    for y in (-10.0, -20.0, -30.0):
+        for g in PHARYNX_GAPS:
+            rows.append((ANTERIOR_X + g + TB_RADIUS_MM, y, g, ANTERIOR_X + g, y, True))
+    cx, cy, tbcd, ox, oy, pharyngeal = (np.array(col) for col in zip(*rows))
+    tbcl = np.arctan2(ox - PALATE_CENTER[0], oy - PALATE_CENTER[1])
+    return cx, cy, tbcd, tbcl, pharyngeal
+
+
+def test_pharyngeal_constriction_needs_the_extension(tmp_path):
+    # The sweep runs through the full command line.  TBCD and TBCL land
+    # within 5e-3 mm / 1e-3 rad of their closed forms on every frame.
+    # TBCL falls at every step through both seams of the extension: no
+    # stall, reversal or wrap.  It cannot be continuous in the strict
+    # sense at the junction, where the soft-palate line and the wall meet
+    # at 114.75 degrees seen from the tract: no circle clear of both
+    # touches the corner, so the contact jumps from one to the other
+    # where the center crosses their bisector.  The palate-only baseline
+    # misses every pharyngeal gap by more than 10 mm, and it shrinks as
+    # the gap opens, so the check measures the extension and nothing else.
+    cx, cy, tbcd, tbcl, pharyngeal = pharyngeal_sweep()
+    manifest = write_speaker_fixture(tmp_path / "data")
+    rows = []
+    for k, (x, y) in enumerate(zip(cx.tolist(), cy.tolist())):
+        coords = reference_pellets()
+        coords["T2"] = (x + TB_RADIUS_MM, y)
+        coords["T3"] = (x, y - TB_RADIUS_MM)
+        coords["T4"] = (x - TB_RADIUS_MM, y)
+        rows.append((k / 145.0, coords))
+    write_pellet_csv(tmp_path / "data" / "utt00.csv", rows)
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+    _, columns, quality = read_tv_columns(out / "utt00.tv.csv")
+    assert quality == ["Ok"] * len(cx)
+    worst_d = float(np.max(np.abs(np.array(columns["TBCD"]) - tbcd)))
+    worst_l = float(np.max(np.abs(np.array(columns["TBCL"]) - tbcl)))
+    assert worst_d <= DISTANCE_TOL, f"TBCD off by {worst_d}"
+    assert worst_l <= ANGLE_TOL, f"TBCL off by {worst_l}"
+    steps = np.diff(columns["TBCL"])
+    assert (steps < 0.0).all(), f"TBCL does not fall at step {np.argmax(steps >= 0)}"
+
+    _, center_dist, _, _, _, _ = circle_polyline_contacts(
+        cx[pharyngeal], cy[pharyngeal], TB_RADIUS_MM, synthetic_anatomy().palate
+    )
+    baseline = center_dist - TB_RADIUS_MM
+    miss = float(np.min(baseline - tbcd[pharyngeal]))
+    assert miss > 10.0, f"palate-only TBCD within {miss} mm of the gap"
+    by_height = baseline.reshape(-1, len(PHARYNX_GAPS))
+    assert (np.diff(by_height, axis=1) < 0.0).all(), "palate-only TBCD rises with the gap"
+    print(f"PHARYNGEAL CONSTRICTION: PASS (full CLI, {len(cx)} frames, "
+          f"{int(pharyngeal.sum())} below the junction; worst TBCD {worst_d:.1e} mm, "
+          f"TBCL {worst_l:.1e} rad; TBCL falls at every step; palate-only "
+          f"TBCD misses every pharyngeal gap by >= {miss:.1f} mm > 10 and "
+          f"shrinks as it opens)")

@@ -12,11 +12,11 @@ from tractvar.errors import (
     NoIntersection,
 )
 from tractvar.geometry import (
+    MIN_ANGLE_RADIUS,
     Circle,
     Point2D,
     Polyline,
-    circle_polyline_clearance,
-    circumcircle,
+    circle_polyline_contacts,
     distance,
     extend_line_to_polyline,
     fit_circle,
@@ -24,7 +24,9 @@ from tractvar.geometry import (
 
 import reference
 from reference import (
+    ClearanceResult,
     angle_from_reference,
+    circumcircle,
     point_polyline_clearance,
     point_segment_distance,
 )
@@ -308,24 +310,62 @@ class TestFitCircle:
             assert abs(c.radius - r) <= 1e-9 * scale * 10
 
 
+def circle_polyline_clearance(circle, trace):
+    """`circle_polyline_contacts` for one circle, as a ClearanceResult."""
+    c = circle.center
+    index, center_dist, px, py, ox, oy = (
+        a.item()
+        for a in circle_polyline_contacts(
+            np.array([c.x]), np.array([c.y]), circle.radius, trace
+        )
+    )
+    return ClearanceResult(
+        distance=center_dist - circle.radius,
+        closest_trace_point=P(px, py),
+        closest_object_point=P(ox, oy),
+        segment_index=index,
+    )
+
+
 class TestCirclePolylineClearance:
     def test_matches_point_reference(self):
+        # One batched call over 300 circles, so that the contacts cross
+        # several NEAREST_CHUNK blocks, against the scalar twin per circle.
         rng = np.random.default_rng(34)
         trace = Polyline([P(-30, 10), P(-15, 14), P(0, 9), P(10, 12)])
-        for _ in range(300):
-            c = Circle(P(rng.uniform(-35, 15), rng.uniform(-10, 25)), rng.uniform(0.5, 8))
-            got = circle_polyline_clearance(c, trace)
+        circles = [
+            Circle(P(rng.uniform(-35, 15), rng.uniform(-10, 25)), rng.uniform(0.5, 8))
+            for _ in range(300)
+        ]
+        cx = np.array([c.center.x for c in circles])
+        cy = np.array([c.center.y for c in circles])
+        radius = np.array([c.radius for c in circles])
+        index, center_dist, px, py, ox, oy = circle_polyline_contacts(
+            cx, cy, radius, trace
+        )
+        clearance = (center_dist - radius).tolist()
+        for k, c in enumerate(circles):
+            got = ClearanceResult(
+                distance=clearance[k],
+                closest_trace_point=P(px[k].item(), py[k].item()),
+                closest_object_point=P(ox[k].item(), oy[k].item()),
+                segment_index=index[k].item(),
+            )
             assert repr(got) == repr(reference.circle_polyline_clearance(c, trace))
-            assert type(got.distance) is float and type(got.segment_index) is int
 
-    def test_center_on_trace_raises_reference_error(self):
+    def test_center_on_trace_reports_zero_center_distance(self):
+        # The kernel does not raise; it reports a center distance below
+        # MIN_ANGLE_RADIUS, which `compute_trajectory` turns into the
+        # reference's DegenerateAngle (test_tract_variables pins that).
         trace = Polyline([P(-10, 8), P(10, 8)])
         circle = Circle(P(2.5, 8), 1.0)
-        with pytest.raises(DegenerateAngle) as want:
+        with pytest.raises(DegenerateAngle):
             reference.circle_polyline_clearance(circle, trace)
-        with pytest.raises(DegenerateAngle) as got:
-            circle_polyline_clearance(circle, trace)
-        assert str(got.value) == str(want.value)
+        index, center_dist, px, py, _, _ = circle_polyline_contacts(
+            np.array([2.5]), np.array([8.0]), circle.radius, trace
+        )
+        assert center_dist[0] < MIN_ANGLE_RADIUS
+        assert (index[0], px[0], py[0]) == (0, 2.5, 8.0)
 
     def test_gap_above(self):
         circle = Circle(P(0, 0), 5.0)
