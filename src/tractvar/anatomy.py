@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AnatomyInconsistent, DegenerateTrace, TractvarError
+from .errors import AnatomyInconsistent, DegenerateTrace
 from .geometry import (
     Point2D,
     Polyline,
@@ -111,7 +111,8 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
 
     Raises AnatomyInconsistent when the junction lands more than 20 mm
     above the last palate point, or more than 1000 mm from it, which
-    indicates mislabeled traces.
+    indicates mislabeled traces, and DegenerateTrace when the extended
+    points do not form a polyline.
     """
     second_last, last = palate.points[-2], palate.points[-1]
     junction, _ = extend_line_to_polyline(second_last, last, anterior_wall)
@@ -141,7 +142,11 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
     for w in anterior_wall.points:
         if w.y < junction.y - 1e-9:
             points.append(w)
-    return Polyline(points)
+    try:
+        return Polyline(points)
+    except ValueError as exc:
+        # Far from the origin the 1 mm samples can round into one point.
+        raise DegenerateTrace(f"extended palate: {exc}") from None
 
 
 def palatal_reference_center(palate: Polyline) -> Point2D:
@@ -168,23 +173,20 @@ def build_speaker_anatomy(
     """Derive the full anatomy bundle for one speaker.
 
     An explicit `thickness_mm` overrides the sex-based default.  Errors
-    from the underlying geometry are re-raised with the speaker id
-    prepended so batch runs can say which speaker failed.
+    from the underlying geometry propagate as they are; the caller knows
+    which speaker it asked for.
     """
     thickness = sex.default_thickness_mm if thickness_mm is None else thickness_mm
-    try:
-        anterior = infer_anterior_wall(posterior_wall, thickness)
-        extended = extend_palate(palate, anterior)
-        center = palatal_reference_center(palate)
-        lowest_palate_y = min(p.y for p in palate.points)
-        if center.y >= lowest_palate_y:
-            raise AnatomyInconsistent(
-                f"palatal reference center ({center.x:g}, {center.y:g}) is not "
-                f"below the palate (min palate y = {lowest_palate_y:g}); "
-                f"the palate fit looks pathological"
-            )
-    except (TractvarError, ValueError) as exc:
-        raise type(exc)(f"speaker {speaker_id}: {exc}") from exc
+    anterior = infer_anterior_wall(posterior_wall, thickness)
+    extended = extend_palate(palate, anterior)
+    center = palatal_reference_center(palate)
+    lowest_palate_y = min(p.y for p in palate.points)
+    if center.y >= lowest_palate_y:
+        raise AnatomyInconsistent(
+            f"palatal reference center ({center.x:g}, {center.y:g}) is not "
+            f"below the palate (min palate y = {lowest_palate_y:g}); "
+            f"the palate fit looks pathological"
+        )
     return SpeakerAnatomy(
         speaker_id=speaker_id,
         sex=sex,

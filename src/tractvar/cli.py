@@ -28,11 +28,10 @@ from .errors import ConfigError, DataError
 from .ingest import TARGET_RATE_HZ
 from .pipeline import (
     EXIT_CONFIG,
-    EXIT_DATA,
     EXIT_OK,
-    LOG_FORMAT,
     RunConfig,
     _realpath,
+    exit_code,
     run_anatomy_only,
     run_pipeline,
 )
@@ -40,6 +39,8 @@ from .tvcsv import open_atomic
 
 # Named outright: under `python -m tractvar.cli` this module is __main__.
 logger = logging.getLogger("tractvar.cli")
+
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -139,12 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return run_anatomy_only(args.manifest, args.out)
-    except (argparse.ArgumentError, ConfigError, OSError) as exc:
+    except (argparse.ArgumentError, ConfigError, OSError, DataError) as exc:
         logger.error("%s", exc)
-        return EXIT_CONFIG
-    except DataError as exc:
-        logger.error("%s", exc)
-        return EXIT_DATA
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

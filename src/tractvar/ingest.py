@@ -166,14 +166,12 @@ def _read_pellet_cells(path: Path) -> np.ndarray:
 
 
 def parse_pellet_file(
-    path: str | Path,
-    *,
-    speaker_id: str = "",
-    utterance_id: str | None = None,
+    path: str | Path, *, speaker_id: str = ""
 ) -> tuple[PelletTrajectory, IngestReport]:
     """Read one utterance's pellet CSV.
 
-    Returns the trajectory plus an ingest report.  Raises SchemaError for
+    Returns the trajectory, whose utterance id is the file stem, plus an
+    ingest report.  Raises SchemaError for
     a bad header and ParseError for malformed rows, non-finite values,
     non-monotone time, fewer than two rows, a time span too short for a
     finite sample rate, or text that is not UTF-8.
@@ -205,14 +203,7 @@ def parse_pellet_file(
         raise ParseError(
             f"{n - 1} interval(s) over {span!r} s give no finite sample rate", path
         )
-    trajectory = PelletTrajectory(
-        speaker_id,
-        utterance_id if utterance_id is not None else path.stem,
-        t,
-        xy,
-        valid,
-        native_rate,
-    )
+    trajectory = PelletTrajectory(speaker_id, path.stem, t, xy, valid, native_rate)
     return trajectory, report
 
 
@@ -289,16 +280,14 @@ def resample(
     times = trajectory.t
     n = len(times)
     if n < 2:
-        raise InsufficientData(
-            f"{trajectory.utterance_id}: need at least 2 frames to resample, got {n}"
-        )
+        raise InsufficientData(f"need at least 2 frames to resample, got {n}")
     span = float(times[-1] - times[0])
     # Intervals in the grid before flooring, as a float: a huge rate makes
     # it inf, which `math.floor` cannot take.
     intervals = span * target_rate + 1e-9
     if intervals >= MAX_GRID_SAMPLES:
         raise DataError(
-            f"{trajectory.utterance_id}: resampling {span:g} s at {target_rate:g} Hz "
+            f"resampling {span:g} s at {target_rate:g} Hz "
             f"needs a grid of {intervals + 1.0:.4g} samples, more than the "
             f"limit of {MAX_GRID_SAMPLES:,}"
         )
@@ -321,8 +310,7 @@ def resample(
         n_valid = int(np.count_nonzero(mask))
         if n_valid < 2:
             raise InsufficientData(
-                f"{trajectory.utterance_id}: pellet {name} has "
-                f"{n_valid} valid sample(s), cannot interpolate"
+                f"pellet {name} has {n_valid} valid sample(s), cannot interpolate"
             )
         tv = times[mask]
         xy[:, k, 0] = np.interp(grid, tv, trajectory.xy[mask, k, 0])

@@ -7,6 +7,11 @@ the utterances run one after another in the calling thread; above 1 the
 run forks one pool of worker processes, at most one per utterance, hands
 each worker the list of (anatomy, utterance) jobs once, and sends it
 only job indices.  Results are byte-identical at any parallelism level.
+
+Each speaker and each utterance ends in one outcome: an exit code and
+one line that names the item once.  Only the calling process logs, so
+the lines come in manifest order at any parallelism level; workers
+return their outcomes and never log.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,9 +42,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
-
-# The one log line format, of the command line and of spawned workers.
-LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 # Configuration and I/O trouble outranks bad data in the exit code.
 _SEVERITY = {EXIT_OK: 0, EXIT_DATA: 1, EXIT_CONFIG: 2}
@@ -67,6 +70,11 @@ class RunConfig:
             )
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
+
+
+def exit_code(exc: Exception) -> int:
+    """The exit code an error forces: EXIT_DATA for bad data, else EXIT_CONFIG."""
+    return EXIT_DATA if isinstance(exc, DataError) else EXIT_CONFIG
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -131,20 +139,12 @@ def _prepare_speaker(
     try:
         palate = parse_trace_file(spec.palate_path, "palate")
         wall = parse_trace_file(spec.posterior_wall_path, "wall")
-    except OSError as exc:
-        logger.error("speaker %s: cannot read traces: %s", spec.speaker_id, exc)
-        return None, EXIT_CONFIG
-    except DataError as exc:
-        logger.error("speaker %s: anatomy failed: %s", spec.speaker_id, exc)
-        return None, EXIT_DATA
-    try:
         anat = build_speaker_anatomy(
             spec.speaker_id, palate, wall, spec.sex, thickness_mm=spec.thickness_mm
         )
-    except DataError as exc:
-        # The message already names the speaker.
-        logger.error("%s", exc)
-        return None, EXIT_DATA
+    except (OSError, DataError) as exc:
+        logger.error("speaker %s: %s", spec.speaker_id, exc)
+        return None, exit_code(exc)
     json_path, svg_path = _anatomy_outputs(spec, output_dir)
     write_anatomy_json(anat, json_path)
     if svg:
@@ -152,7 +152,8 @@ def _prepare_speaker(
     return anat, EXIT_OK
 
 
-def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> Path:
+def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> str:
+    """Process one utterance and return its info line."""
     trajectory, report = parse_pellet_file(path, speaker_id=anat.speaker_id)
     uniform = resample(trajectory, config.target_rate, report)
     tvs = compute_trajectory(uniform, anat, clamp_tbcd=config.clamp_tbcd)
@@ -160,60 +161,76 @@ def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> P
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
         _write_text(out_svg, tv_svg(tvs, degrees=config.degrees))
-    logger.info(
-        "%s/%s: %d frames in, %d out, %d mistracked, %d pellets interpolated",
-        anat.speaker_id,
-        path.stem,
-        report.frames_read,
-        len(tvs),
-        report.frames_mistracked,
-        report.pellets_interpolated,
+    return (
+        f"{anat.speaker_id}/{path.stem}: {report.frames_read} frames in, "
+        f"{len(tvs)} out, {report.frames_mistracked} mistracked, "
+        f"{report.pellets_interpolated} pellets interpolated"
     )
-    return out_csv
 
 
-def _attempt_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> int:
-    """Process one utterance; EXIT_OK on success, else the code that
-    names what went wrong."""
+def _attempt_utterance(
+    anat: SpeakerAnatomy, path: Path, config: RunConfig
+) -> tuple[int, str]:
+    """Process one utterance.  Returns EXIT_OK with its info line, or the
+    code that names what went wrong with its one error line."""
     try:
-        _process_utterance(anat, path, config)
+        return EXIT_OK, _process_utterance(anat, path, config)
     except DegenerateAngle as exc:
-        logger.error(
-            "utterance %s: frame %s (t = %r s): %s",
-            path, exc.frame, exc.t, exc,
-        )
-        return EXIT_DATA
-    except OSError as exc:
-        logger.error("utterance %s: %s", path, exc)
-        return EXIT_CONFIG
-    except (ParseError, SchemaError) as exc:
-        # The message already starts with the path, line and column.
-        logger.error("utterance %s", exc)
-        return EXIT_DATA
-    except DataError as exc:
-        logger.error("utterance %s: %s", path, exc)
-        return EXIT_DATA
-    return EXIT_OK
+        return EXIT_DATA, f"utterance {path}: frame {exc.frame} (t = {exc.t!r} s): {exc}"
+    except (OSError, DataError) as exc:
+        if isinstance(exc, (ParseError, SchemaError)):
+            # The message starts with the path, and the line and column.
+            line = f"utterance {exc}"
+        elif isinstance(exc, OSError) and exc.filename == str(path):
+            line = f"utterance {path}: {exc.strerror}"
+        else:
+            line = f"utterance {path}: {exc}"
+        return exit_code(exc), line
 
 
 # A pool worker's jobs and run options, set once by `_init_worker`.
 _worker_jobs: tuple[list[tuple[SpeakerAnatomy, Path]], RunConfig] | None = None
 
 
-def _init_worker(
-    jobs: list[tuple[SpeakerAnatomy, Path]], config: RunConfig, log_level: int | None
-) -> None:
-    """Keep the run's jobs in this worker.  A worker that was not forked
-    has no logging set up; `log_level` then sets it up as the parent's."""
+def _init_worker(jobs: list[tuple[SpeakerAnatomy, Path]], config: RunConfig) -> None:
+    """Keep the run's jobs in this worker."""
     global _worker_jobs
     _worker_jobs = jobs, config
-    if log_level is not None:
-        logging.basicConfig(level=log_level, format=LOG_FORMAT)
 
 
-def _run_job(index: int) -> int:
+def _run_job(index: int) -> tuple[int, str]:
     jobs, config = _worker_jobs
     return _attempt_utterance(*jobs[index], config)
+
+
+def _outcomes(
+    jobs: list[tuple[SpeakerAnatomy, Path]], config: RunConfig
+) -> Iterator[tuple[int, str]]:
+    """Yield each job's outcome in job order, as soon as it is known.  A
+    worker process that dies ends the run with one last EXIT_CONFIG
+    outcome."""
+    workers = min(config.parallelism, len(jobs))
+    if workers < 2:
+        yield from (_attempt_utterance(*job, config) for job in jobs)
+        return
+    # Imported here so that serial runs never load them.  Forked workers
+    # inherit the jobs and the loaded modules; spawned ones unpickle the
+    # jobs once each.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    try:
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork" if fork else None),
+            initializer=_init_worker,
+            initargs=(jobs, config),
+        ) as pool:
+            yield from pool.map(_run_job, range(len(jobs)))
+    except BrokenProcessPool as exc:
+        yield EXIT_CONFIG, f"run failed: a worker process died ({exc})"
 
 
 def run_pipeline(config: RunConfig) -> int:
@@ -240,31 +257,10 @@ def run_pipeline(config: RunConfig) -> int:
         codes.append(code)
         if anat is not None:
             jobs += [(anat, path) for path in spec.utterance_paths]
-    workers = min(config.parallelism, len(jobs))
-    if workers < 2:
-        outcomes = [_attempt_utterance(*job, config) for job in jobs]
-    else:
-        # Imported here so that serial runs never load them.  Forked
-        # workers inherit the jobs, the loaded modules and the logging
-        # setup; spawned ones unpickle the jobs once each.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if fork else None)
-        log_level = None if fork else logger.getEffectiveLevel()
-        try:
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(jobs, config, log_level),
-            ) as pool:
-                outcomes = list(pool.map(_run_job, range(len(jobs))))
-        except BrokenProcessPool as exc:
-            logger.error("run failed: a worker process died (%s)", exc)
-            return EXIT_CONFIG
+    outcomes = []
+    for code, line in _outcomes(jobs, config):
+        logger.log(logging.INFO if code == EXIT_OK else logging.ERROR, "%s", line)
+        outcomes.append(code)
 
     # A failed utterance only fails the run through I/O trouble, or when
     # no utterance succeeded at all.

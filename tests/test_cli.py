@@ -278,6 +278,35 @@ class TestRun:
         assert lines == [f"ERROR tractvar.pipeline: utterance {path}{message}"]
 
     @pytest.mark.parametrize(
+        "edit, rc, message",
+        [
+            (Path.unlink, 1, ": No such file or directory"),
+            (
+                # T1 mistracked in every frame leaves nothing to interpolate.
+                lambda path: write_pellet_csv(path, [
+                    (k / 145.0, {**reference_pellets(), "T1": (1e6, 1e6)})
+                    for k in range(10)
+                ]),
+                0,
+                ": pellet T1 has 0 valid sample(s), cannot interpolate",
+            ),
+        ],
+        ids=["deleted", "T1-mistracked"],
+    )
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_utterance_error_names_the_file_once(
+        self, tmp_path, edit, rc, message, parallelism
+    ):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        path = root / "utt01.csv"
+        edit(path)
+        assert run_cli_process(
+            "run", "--manifest", manifest, "--out", tmp_path / "out",
+            "--parallelism", parallelism,
+        ) == (rc, [f"ERROR tractvar.pipeline: utterance {path}{message}"])
+
+    @pytest.mark.parametrize(
         "palate, message",
         [
             # A straight palate admits no reference circle.
@@ -312,7 +341,7 @@ class TestRun:
         assert run_cli("run", "--manifest", manifest, "--out", tmp_path / "out") == 2
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [
-            f"speaker synth: anatomy failed: {root / 'palate.csv'}:3 (x): "
+            f"speaker synth: {root / 'palate.csv'}:3 (x): "
             f"cannot parse 'foo' as a number"
         ]
 
@@ -718,11 +747,11 @@ class TestExecutor:
                 "--parallelism", n, TRACTVAR_LOG="info",
             )
             assert rc == 0
-        assert sorted(lines[2]) == sorted(lines[1])
-        stems = sorted(
+        assert lines[2] == lines[1]
+        stems = [
             line.split(":")[1].strip() for line in lines[1]
             if line.startswith("INFO tractvar.pipeline:")
-        )
+        ]
         assert stems == ["a/utt00", "a/utt01", "b/utt02", "b/utt03"]
 
     def test_serial_run_never_imports_multiprocessing(self, tmp_path):
@@ -748,7 +777,7 @@ class TestExecutor:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_forked_pool_pickles_no_anatomy(self, tmp_path, monkeypatch):
-        # Forked workers inherit the jobs; only indices and exit codes
+        # Forked workers inherit the jobs; only indices and outcomes
         # cross the process boundary.
         def refuse(self, protocol):
             raise pickle.PicklingError("a SpeakerAnatomy was pickled")
@@ -789,13 +818,13 @@ class TestExecutor:
         }
         assert [procs[n].returncode for n in (1, 2)] == [0, 0]
         assert procs[2].stdout.strip() == "[None]"
-        lines = {n: sorted(procs[n].stderr.splitlines()) for n in (1, 2)}
-        assert lines[2] == lines[1]
-        assert [line for line in lines[1] if not line.startswith("INFO ")] == [
+        assert procs[2].stderr == procs[1].stderr
+        lines = procs[1].stderr.splitlines()
+        assert len(lines) == 4
+        assert lines[3] == (
             f"ERROR tractvar.pipeline: utterance {bad}: "
             f"header does not match the pellet schema (missing columns ['ULx'])"
-        ]
-        assert len(lines[1]) == 4
+        )
         self.assert_same_outputs(tmp_path / "p1", tmp_path / "p2")
 
 
@@ -1055,7 +1084,7 @@ class TestOutOfRangeTraces:
         )
         (x0, y0), (x1, y1) = palate[:2]
         assert (rc, errors) == (2, [
-            f"speaker synth: anatomy failed: {root / 'palate.csv'}: segment 0 from "
+            f"speaker synth: {root / 'palate.csv'}: segment 0 from "
             f"({x0:g}, {y0:g}) to ({x1:g}, {y1:g}) is too long or too short for "
             f"floating-point arithmetic"
         ])
@@ -1064,7 +1093,7 @@ class TestOutOfRangeTraces:
         palate = [(0.0, 0.0), (1e-170, 0.0)] + palate_coords()
         rc, errors, root = self.run_anatomy(tmp_path, caplog, palate=palate)
         assert (rc, errors) == (2, [
-            f"speaker synth: anatomy failed: {root / 'palate.csv'}: segment 0 from "
+            f"speaker synth: {root / 'palate.csv'}: segment 0 from "
             f"(0, 0) to (1e-170, 0) is too long or too short for floating-point "
             f"arithmetic"
         ])
@@ -1093,6 +1122,17 @@ class TestOutOfRangeTraces:
             "speaker synth: palate extension to the anterior wall is 38763.2 mm long"
         )
         assert errors[0].endswith("more than 1000 mm; traces look inconsistent")
+
+    def test_extension_samples_round_together(self, tmp_path, caplog):
+        # Near x = 1e16 the float spacing is 2 mm, so the first 1 mm
+        # sample of the extension rounds onto the palate's last point.
+        x = 1e16
+        palate = [(x + 30.0, -10.0), (x + 20.0, 6.0), (x + 10.0, 10.0), (x, 10.0)]
+        wall = [(x - 66.0, 30.0), (x - 66.0, -40.0)]
+        rc, errors, _ = self.run_anatomy(tmp_path, caplog, palate=palate, wall=wall)
+        assert (rc, errors) == (
+            2, ["speaker synth: extended palate: zero-length segment at index 3"]
+        )
 
     @pytest.mark.parametrize(
         "thickness, message",

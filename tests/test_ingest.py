@@ -71,11 +71,11 @@ class TestParsePelletFile:
         assert traj.native_rate == pytest.approx(200.0, rel=1e-12)
         assert traj.frames[3].t == 3 / 200.0
 
-    def test_utterance_id_override(self, tmp_path):
-        path = tmp_path / "utt.csv"
+    def test_utterance_id_is_the_file_stem(self, tmp_path):
+        path = tmp_path / "tp105.take2.csv"
         write_pellet_csv(path, pellet_rows(3))
-        traj, _ = parse_pellet_file(path, utterance_id="tp105")
-        assert traj.utterance_id == "tp105"
+        traj, _ = parse_pellet_file(path)
+        assert traj.utterance_id == "tp105.take2"
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -267,10 +267,10 @@ class TestWritePelletFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
         src = tmp_path / "src.csv"
         write_pellet_csv(src, pellet_rows(20, rate=145.0, invalid={7: ("T2",)}))
-        traj, _ = parse_pellet_file(src, speaker_id="s", utterance_id="u")
+        traj, _ = parse_pellet_file(src, speaker_id="s")
         dst = tmp_path / "dst.csv"
         write_pellet_file(traj, dst)
-        back, _ = parse_pellet_file(dst, speaker_id="s", utterance_id="u")
+        back, _ = parse_pellet_file(dst, speaker_id="s")
         assert len(back.frames) == len(traj.frames)
         for a, b in zip(traj.frames, back.frames):
             assert b.t == a.t
@@ -659,8 +659,9 @@ class TestResample:
 
     def test_single_frame_insufficient(self):
         traj = pellet_trajectory((make_frame(0.0),), "s", "solo", 100.0)
-        with pytest.raises(InsufficientData, match="solo"):
+        with pytest.raises(InsufficientData) as excinfo:
             resample(traj, 145.0)
+        assert str(excinfo.value) == "need at least 2 frames to resample, got 1"
 
     def test_pellet_with_one_valid_sample_insufficient(self):
         invalid = {k: {"T3"} for k in range(1, 5)}
@@ -679,7 +680,7 @@ class TestResample:
         with pytest.raises(DataError) as excinfo:
             resample(traj, rate)
         assert str(excinfo.value) == (
-            f"u: resampling 2.4875 s at {rate:g} Hz needs a grid of {size} "
+            f"resampling 2.4875 s at {rate:g} Hz needs a grid of {size} "
             f"samples, more than the limit of 10,000,000"
         )
 
