@@ -71,37 +71,23 @@ TRACE_HEADER = ("x", "y")
 class PelletTrajectory:
     """One utterance's pellet samples, held as columns.
 
-    `t` has shape (n,) and increases strictly.  `xy` has shape (n, 8, 2):
-    millimeter coordinates of each pellet in PELLET_NAMES order.  `valid`
-    has shape (n, 8); positions where it is False must not be read.
-    `frames` presents the same samples as PelletFrame objects; it is
-    built on first use and cached.  Treat the arrays as read-only.
+    `t` has shape (n,) and increases strictly: `parse_pellet_file` and
+    `resample` own that, and the constructor checks nothing.  `xy` has
+    shape (n, 8, 2): millimeter coordinates of each pellet in PELLET_NAMES
+    order.  `valid` has shape (n, 8); positions where it is False must not
+    be read.  `frames` presents the same samples as PelletFrame objects;
+    it is built on first use and cached.  Treat the arrays as read-only.
     """
 
-    __slots__ = ("speaker_id", "utterance_id", "t", "xy", "valid", "native_rate", "_frames")
+    __slots__ = ("utterance_id", "t", "xy", "valid", "_frames")
 
     def __init__(
-        self,
-        speaker_id: str,
-        utterance_id: str,
-        t: np.ndarray,
-        xy: np.ndarray,
-        valid: np.ndarray,
-        native_rate: float,
+        self, utterance_id: str, t: np.ndarray, xy: np.ndarray, valid: np.ndarray
     ) -> None:
-        if native_rate <= 0.0 or not math.isfinite(native_rate):
-            raise ValueError(f"native rate must be positive, got {native_rate}")
-        backwards = np.flatnonzero(t[1:] <= t[:-1])
-        if len(backwards):
-            raise ValueError(
-                f"timestamps not strictly increasing at frame {backwards[0] + 1}"
-            )
-        self.speaker_id = speaker_id
         self.utterance_id = utterance_id
         self.t = t
         self.xy = xy
         self.valid = valid
-        self.native_rate = native_rate
         self._frames = None
 
     def __len__(self) -> int:
@@ -165,16 +151,14 @@ def _read_pellet_cells(path: Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, len(PELLET_HEADER))
 
 
-def parse_pellet_file(
-    path: str | Path, *, speaker_id: str = ""
-) -> tuple[PelletTrajectory, IngestReport]:
+def parse_pellet_file(path: str | Path) -> tuple[PelletTrajectory, IngestReport]:
     """Read one utterance's pellet CSV.
 
     Returns the trajectory, whose utterance id is the file stem, plus an
-    ingest report.  Raises SchemaError for
-    a bad header and ParseError for malformed rows, non-finite values,
-    non-monotone time, fewer than two rows, a time span too short for a
-    finite sample rate, or text that is not UTF-8.
+    ingest report.  Raises SchemaError for a bad header and ParseError
+    for malformed rows, non-finite values, non-monotone time, fewer than
+    two rows, a time span too short for a finite sample rate, or text
+    that is not UTF-8.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -193,18 +177,13 @@ def parse_pellet_file(
     t = table[:, 0]
     xy = table[:, 1:].reshape(n, len(PELLET_NAMES), 2)
     valid = (np.abs(xy) < SENTINEL_MAGNITUDE).all(axis=2)
-    report = IngestReport(
-        frames_read=n,
-        frames_mistracked=int(np.count_nonzero(~valid.all(axis=1))),
-    )
     span = float(t[-1]) - float(t[0])
-    native_rate = (n - 1) / span
-    if not math.isfinite(native_rate):
+    if not math.isfinite((n - 1) / span):
         raise ParseError(
             f"{n - 1} interval(s) over {span!r} s give no finite sample rate", path
         )
-    trajectory = PelletTrajectory(speaker_id, path.stem, t, xy, valid, native_rate)
-    return trajectory, report
+    mistracked = int(np.count_nonzero(~valid.all(axis=1)))
+    return PelletTrajectory(path.stem, t, xy, valid), IngestReport(n, mistracked)
 
 
 def parse_trace_file(path: str | Path, kind: str) -> Polyline:
@@ -273,7 +252,8 @@ def resample(
 
     Raises InsufficientData when the trajectory has fewer than two frames
     or some pellet has fewer than two valid samples, and DataError when
-    the grid would have more than MAX_GRID_SAMPLES samples.
+    the grid would have more than MAX_GRID_SAMPLES samples or its times
+    would not increase (a step below the spacing of doubles at t).
     """
     if target_rate <= 0.0 or not math.isfinite(target_rate):
         raise ValueError(f"target rate must be positive, got {target_rate}")
@@ -292,8 +272,14 @@ def resample(
             f"limit of {MAX_GRID_SAMPLES:,}"
         )
     count = int(math.floor(intervals)) + 1
-    steps = np.arange(count, dtype=np.float64)
-    grid = times[0] + steps / target_rate
+    grid = times[0] + np.arange(count, dtype=np.float64) / target_rate
+    # Far from t = 0 a step of 1/rate can be below the spacing of doubles.
+    stalled = np.flatnonzero(grid[1:] <= grid[:-1])
+    if len(stalled):
+        raise DataError(
+            f"resampling at {target_rate:g} Hz from t = {float(times[0])!r} s "
+            f"gives grid times that do not increase at sample {stalled[0] + 1}"
+        )
 
     # Locate each grid time against the raw input grid once; validity
     # contamination is defined on raw intervals regardless of which
@@ -319,14 +305,7 @@ def resample(
         report.pellets_interpolated += len(PELLET_NAMES) * int(
             np.count_nonzero(~exact)
         )
-    return PelletTrajectory(
-        trajectory.speaker_id,
-        trajectory.utterance_id,
-        grid,
-        xy,
-        valid[left] & valid[right],
-        target_rate,
-    )
+    return PelletTrajectory(trajectory.utterance_id, grid, xy, valid[left] & valid[right])
 
 
 @dataclass(frozen=True)
@@ -339,6 +318,15 @@ class SpeakerSpec:
     palate_path: Path
     posterior_wall_path: Path
     utterance_paths: tuple[Path, ...]
+
+
+def _can_name_a_file(text: str) -> bool:
+    """False when `text` holds a NUL or a lone surrogate, as JSON allows."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return "\0" not in text
 
 
 def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
@@ -355,10 +343,14 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
     if not isinstance(speaker_id, str) or not speaker_id:
         raise ConfigError("speaker_id must be a non-empty string")
     # Outputs are named after the id, so it must be one plain file name.
-    if speaker_id in (".", "..") or any(c in speaker_id for c in "/\\\0"):
+    if (
+        speaker_id in (".", "..")
+        or any(c in speaker_id for c in "/\\")
+        or not _can_name_a_file(speaker_id)
+    ):
         raise ConfigError(
             f"speaker_id {speaker_id!r} must be a plain file name: no '/', "
-            f"'\\' or NUL, and not '.' or '..'"
+            f"'\\', NUL or lone surrogate, and not '.' or '..'"
         )
     try:
         sex = Sex(sex_code)
@@ -384,7 +376,7 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
         raise ConfigError(f"speaker {speaker_id}: utterances must be a list of paths")
 
     def path_of(key: str, value: object) -> Path:
-        if not isinstance(value, str) or not value:
+        if not isinstance(value, str) or not value or not _can_name_a_file(value):
             raise ConfigError(
                 f"speaker {speaker_id}: {key} must be a non-empty path string, "
                 f"got {value!r}"
@@ -426,9 +418,10 @@ def load_manifest(path: str | Path) -> list[SpeakerSpec]:
     """Load a speaker manifest (single object or list of objects).
 
     Raises ConfigError for malformed entries, for a path field that is
-    not a non-empty string, for a speaker id that is not a plain file
-    name, and when two speakers share an id or two utterance files share
-    a stem, since either would make one output overwrite another.
+    not a non-empty string that can name a file (no NUL and no lone
+    surrogate), for a speaker id that is not a plain file name, and when
+    two speakers share an id or two utterance files share a stem, since
+    either would make one output overwrite another.
     """
     path = Path(path)
     try:
@@ -438,6 +431,8 @@ def load_manifest(path: str | Path) -> list[SpeakerSpec]:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: not valid JSON (nested too deeply)") from None
     base = path.parent
     entries = data if isinstance(data, list) else [data]
     if not entries:

@@ -136,25 +136,25 @@ def _prepare_speaker(
 
     Returns the anatomy, or None with the exit code its failure forces.
     """
+    json_path, svg_path = _anatomy_outputs(spec, output_dir)
     try:
         palate = parse_trace_file(spec.palate_path, "palate")
         wall = parse_trace_file(spec.posterior_wall_path, "wall")
         anat = build_speaker_anatomy(
             spec.speaker_id, palate, wall, spec.sex, thickness_mm=spec.thickness_mm
         )
+        write_anatomy_json(anat, json_path)
+        if svg:
+            _write_text(svg_path, anatomy_svg(anat))
     except (OSError, DataError) as exc:
         logger.error("speaker %s: %s", spec.speaker_id, exc)
         return None, exit_code(exc)
-    json_path, svg_path = _anatomy_outputs(spec, output_dir)
-    write_anatomy_json(anat, json_path)
-    if svg:
-        _write_text(svg_path, anatomy_svg(anat))
     return anat, EXIT_OK
 
 
 def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> str:
     """Process one utterance and return its info line."""
-    trajectory, report = parse_pellet_file(path, speaker_id=anat.speaker_id)
+    trajectory, report = parse_pellet_file(path)
     uniform = resample(trajectory, config.target_rate, report)
     tvs = compute_trajectory(uniform, anat, clamp_tbcd=config.clamp_tbcd)
     out_csv, out_svg = _utterance_outputs(path, config.output_dir)

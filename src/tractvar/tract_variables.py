@@ -125,39 +125,21 @@ class TractVariableFrame:
 class TvTrajectory:
     """A uniformly sampled tract-variable series, held as columns.
 
-    `t` has shape (n,).  `values` has shape (n, 6), columns in TV_NAMES
-    order, with NaN for an absent variable (computed values are always
-    finite).  `quality` has shape (n,) and holds indices into QUALITIES.
-    `frames` presents the same data as TractVariableFrame objects; it is
-    built on first use and cached.  Treat the arrays as read-only.
+    `t` has shape (n,): the uniform, increasing grid that `resample` owns,
+    so the constructor checks nothing.  `values` has shape (n, 6), columns
+    in TV_NAMES order, with NaN for an absent variable (computed values
+    are always finite).  `quality` has shape (n,) and holds indices into
+    QUALITIES.  `frames` presents the same data as TractVariableFrame
+    objects; it is built on first use and cached.  Treat the arrays as
+    read-only.
     """
 
-    __slots__ = ("speaker_id", "t", "values", "quality", "sample_rate", "_frames")
+    __slots__ = ("t", "values", "quality", "_frames")
 
-    def __init__(
-        self,
-        speaker_id: str,
-        t: np.ndarray,
-        values: np.ndarray,
-        quality: np.ndarray,
-        sample_rate: float,
-    ) -> None:
-        if sample_rate <= 0.0:
-            raise ValueError(f"sample rate must be positive, got {sample_rate}")
-        if len(t):
-            grid = t[0] + np.arange(len(t)) * (1.0 / sample_rate)
-            off = np.flatnonzero(np.abs(t - grid) > 1e-6)
-            if len(off):
-                k = int(off[0])
-                raise ValueError(
-                    f"frame {k} at t={float(t[k])!r} is off the uniform "
-                    f"{sample_rate} Hz grid"
-                )
-        self.speaker_id = speaker_id
+    def __init__(self, t: np.ndarray, values: np.ndarray, quality: np.ndarray) -> None:
         self.t = t
         self.values = values
         self.quality = quality
-        self.sample_rate = sample_rate
         self._frames = None
 
     def __len__(self) -> int:
@@ -310,6 +292,4 @@ def compute_trajectory(
     quality = np.full(n, _QUALITY_CODE[Quality.OK], dtype=np.int8)
     quality[flat] = _QUALITY_CODE[Quality.DEGENERATE_TONGUE]
     quality[~valid[:, _REQUIRED].all(axis=1)] = _QUALITY_CODE[Quality.MISSING_PELLET]
-    return TvTrajectory(
-        trajectory.speaker_id, trajectory.t, values, quality, trajectory.native_rate
-    )
+    return TvTrajectory(trajectory.t, values, quality)

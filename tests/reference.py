@@ -314,10 +314,7 @@ def compute_frame(
 
 
 def pellet_trajectory(
-    frames: Iterable[PelletFrame],
-    speaker_id: str = "synth",
-    utterance_id: str = "u",
-    native_rate: float = 145.0,
+    frames: Iterable[PelletFrame], utterance_id: str = "u"
 ) -> PelletTrajectory:
     """A PelletTrajectory holding the given frames."""
     frames = tuple(frames)
@@ -334,14 +331,10 @@ def pellet_trajectory(
     valid = np.array(
         [name in f.valid for f in frames for name in PELLET_NAMES], dtype=bool
     ).reshape(n, len(PELLET_NAMES))
-    return PelletTrajectory(speaker_id, utterance_id, t, xy, valid, native_rate)
+    return PelletTrajectory(utterance_id, t, xy, valid)
 
 
-def tv_trajectory(
-    frames: Iterable[TractVariableFrame],
-    speaker_id: str = "s",
-    sample_rate: float = 145.0,
-) -> TvTrajectory:
+def tv_trajectory(frames: Iterable[TractVariableFrame]) -> TvTrajectory:
     """A TvTrajectory holding the given frames."""
     frames = tuple(frames)
     t = np.array([f.t for f in frames], dtype=np.float64)
@@ -354,7 +347,7 @@ def tv_trajectory(
         dtype=np.float64,
     ).reshape(len(frames), len(TV_NAMES))
     quality = np.array([QUALITIES.index(f.quality) for f in frames], dtype=np.int8)
-    return TvTrajectory(speaker_id, t, values, quality, sample_rate)
+    return TvTrajectory(t, values, quality)
 
 
 def write_pellet_file(trajectory: PelletTrajectory, path: str | Path) -> None:

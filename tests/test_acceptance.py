@@ -67,7 +67,7 @@ def tv_file_from_frames(path, n=40, negate=None):
             dataclasses.replace(f, **{negate: -getattr(f, negate)})
             for f in tvs.frames
         )
-        tvs = tv_trajectory(flipped, tvs.speaker_id, tvs.sample_rate)
+        tvs = tv_trajectory(flipped)
     write_tv_csv(tvs, path)
     return path
 
@@ -253,7 +253,7 @@ def test_criterion_6_resampling_exactness_and_drift():
         t = k / 80.0
         coords = {n: (x + a * t, y + b * t) for n, (x, y) in base.items()}
         frames.append(make_frame(t, coords))
-    traj = pellet_trajectory(frames, "s", "u", 80.0)
+    traj = pellet_trajectory(frames)
     out = resample(traj, 145.0)
     assert len(out.frames) == 146
     worst_affine = 0.0
@@ -269,7 +269,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     assert worst_affine <= 1e-9
 
     const_frames = tuple(make_frame(k / 80.0, base) for k in range(41))
-    const_out = resample(pellet_trajectory(const_frames, "s", "u", 80.0), 145.0)
+    const_out = resample(pellet_trajectory(const_frames), 145.0)
     for frame in const_out.frames:
         for name in PELLET_NAMES:
             p = frame.pellet(name)
@@ -277,9 +277,7 @@ def test_criterion_6_resampling_exactness_and_drift():
 
     # Two frames spanning 1e5 output samples: the grid must not drift.
     span_frames = (make_frame(0.0, base), make_frame(100_000 / 145.0, base))
-    long_out = resample(
-        pellet_trajectory(span_frames, "s", "u", 145.0 / 100_000), 145.0
-    )
+    long_out = resample(pellet_trajectory(span_frames), 145.0)
     assert len(long_out.frames) == 100_001
     times = np.array([f.t for f in long_out.frames], dtype=np.float64)
     exact = np.arange(100_001, dtype=np.longdouble) / np.longdouble(145)
@@ -366,7 +364,7 @@ def test_criterion_9_throughput_budget():
         else:
             xy[:, k] = (x0, y0)
     valid = np.ones((n, len(PELLET_NAMES)), dtype=bool)
-    traj = PelletTrajectory("perf", "u", t, xy, valid, 145.0)
+    traj = PelletTrajectory("u", t, xy, valid)
 
     start = time.perf_counter()
     tvs = compute_trajectory(traj, anat)

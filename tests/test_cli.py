@@ -306,6 +306,25 @@ class TestRun:
             "--parallelism", parallelism,
         ) == (rc, [f"ERROR tractvar.pipeline: utterance {path}{message}"])
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_stalled_grid_fails_its_utterance_alone(self, tmp_path, parallelism):
+        # Doubles near 5e13 s are 1/128 s apart, more than a 145 Hz step,
+        # so the grid times stop increasing; 100 Hz input times do not.
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        path = root / "utt00.csv"
+        rows = [(5e13 + k / 100.0, reference_pellets()) for k in range(30)]
+        write_pellet_csv(path, rows)
+        out = tmp_path / "out"
+        assert run_cli_process(
+            "run", "--manifest", manifest, "--out", out, "--parallelism", parallelism,
+        ) == (0, [
+            f"ERROR tractvar.pipeline: utterance {path}: resampling at 145 Hz from "
+            f"t = 50000000000000.0 s gives grid times that do not increase at sample 5"
+        ])
+        written = sorted(p.name for p in out.iterdir())
+        assert written == ["synth.anatomy.json", "utt01.tv.csv"]
+
     @pytest.mark.parametrize(
         "palate, message",
         [
@@ -333,6 +352,25 @@ class TestRun:
         assert run_cli(command, "--manifest", manifest, "--out", tmp_path / "out") == 2
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [f"speaker synth: {message}"]
+
+    @pytest.mark.parametrize("command", ["run", "anatomy"])
+    def test_unwritable_anatomy_output_fails_its_speaker_alone(
+        self, tmp_path, caplog, command
+    ):
+        manifest = TestExecutor.two_speaker_manifest(tmp_path / "data")
+        out = tmp_path / "out"
+        (out / "a.anatomy.json").mkdir(parents=True)
+        assert run_cli(command, "--manifest", manifest, "--out", out) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        tmp = out / f".a.anatomy.json.{os.getpid()}.tmp"
+        assert errors == [
+            f"speaker a: [Errno 21] Is a directory: '{tmp}' -> '{out / 'a.anatomy.json'}'"
+        ]
+        written = ["b.anatomy.json", "b.anatomy.svg"]
+        if command == "run":
+            written = ["b.anatomy.json", "utt02.tv.csv", "utt03.tv.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["a.anatomy.json", *written]
+        assert list((out / "a.anatomy.json").iterdir()) == []
 
     def test_trace_error_keeps_the_speaker_prefix(self, tmp_path, caplog):
         root = tmp_path / "data"
@@ -465,7 +503,8 @@ class TestRunRejectsBadConfig:
             self.assert_one_line_error(caplog, "thickness_mm")
 
     @pytest.mark.parametrize("value", [None, {}, {"path": "utt00.csv"}, 0, 1.5,
-                                       True, [], ["palate.csv"], ""])
+                                       True, [], ["palate.csv"], "", "a\u0000b",
+                                       "\ud800", "\udc80.csv"])
     @pytest.mark.parametrize("key", ["palate", "posterior_wall", "utterances[1]"])
     def test_path_fields_must_be_strings(self, tmp_path, caplog, key, value):
         manifest = write_speaker_fixture(tmp_path / "data", n_utterances=2)
@@ -485,6 +524,34 @@ class TestRunRejectsBadConfig:
                 f"path string, got {value!r}"
             ]
         assert not (tmp_path / "run").exists() and not (tmp_path / "anatomy").exists()
+
+    # A lone surrogate can be escaped in JSON, but no file can be named
+    # after it: U+D800 cannot be encoded at all, and U+DC80 encodes as a
+    # file name but not as the UTF-8 text of the anatomy figure.
+    @pytest.mark.parametrize("speaker_id", ["\ud800", "\udc80"])
+    @pytest.mark.parametrize("command", ["run", "anatomy"])
+    def test_speaker_id_with_a_lone_surrogate(self, tmp_path, command, speaker_id):
+        manifest = write_speaker_fixture(tmp_path / "data", speaker_id=speaker_id)
+        assert run_cli_process(
+            command, "--manifest", manifest, "--out", tmp_path / "out"
+        ) == (1, [
+            f"ERROR tractvar.pipeline: cannot load manifest: speaker_id "
+            f"{speaker_id!r} must be a plain file name: no '/', '\\', NUL or lone "
+            f"surrogate, and not '.' or '..'"
+        ])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "anatomy"])
+    def test_deeply_nested_manifest(self, tmp_path, command):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[" * 100_000)
+        assert run_cli_process(
+            command, "--manifest", manifest, "--out", tmp_path / "out"
+        ) == (1, [
+            f"ERROR tractvar.pipeline: cannot load manifest: {manifest}: "
+            f"not valid JSON (nested too deeply)"
+        ])
+        assert not (tmp_path / "out").exists()
 
     def test_speaker_id_cannot_leave_the_output_dir(self, tmp_path, caplog):
         manifest = write_speaker_fixture(tmp_path / "data", speaker_id="../evil")
@@ -844,11 +911,9 @@ class TestAtomicOutputs:
         # after the earlier rows went out.
         n = 2000
         tvs = TvTrajectory(
-            "s",
             np.arange(n) / 145.0,
             np.ones((n, 6)),
             np.array([0] * (n - 1) + [99], dtype=np.int8),
-            145.0,
         )
         with pytest.raises(IndexError):
             write_tv_csv(tvs, target)
@@ -1296,6 +1361,7 @@ MANIFEST_VALUES = [
     None, 0, -1.0, 1e6, 1e308, "", "..", "a/b", "M", [], {}, "nope.csv",
     "palate.csv", "utt00.csv", ["utt00.csv", "utt00.csv"], ["palate.csv"],
     {"path": "palate.csv"}, [None], [{}], [0], [""], [["utt00.csv"]],
+    "a\u0000b", "\ud800", "\udc80.csv", ["\ud800.csv"],
 ]
 
 

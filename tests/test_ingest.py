@@ -62,13 +62,11 @@ class TestParsePelletFile:
     def test_reads_frames_and_rate(self, tmp_path):
         path = tmp_path / "utt.csv"
         write_pellet_csv(path, pellet_rows(11, rate=200.0))
-        traj, report = parse_pellet_file(path, speaker_id="jw11")
-        assert traj.speaker_id == "jw11"
+        traj, report = parse_pellet_file(path)
         assert traj.utterance_id == "utt"
         assert len(traj.frames) == 11
         assert report.frames_read == 11
         assert report.frames_mistracked == 0
-        assert traj.native_rate == pytest.approx(200.0, rel=1e-12)
         assert traj.frames[3].t == 3 / 200.0
 
     def test_utterance_id_is_the_file_stem(self, tmp_path):
@@ -267,10 +265,10 @@ class TestWritePelletFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
         src = tmp_path / "src.csv"
         write_pellet_csv(src, pellet_rows(20, rate=145.0, invalid={7: ("T2",)}))
-        traj, _ = parse_pellet_file(src, speaker_id="s")
+        traj, _ = parse_pellet_file(src)
         dst = tmp_path / "dst.csv"
         write_pellet_file(traj, dst)
-        back, _ = parse_pellet_file(dst, speaker_id="s")
+        back, _ = parse_pellet_file(dst)
         assert len(back.frames) == len(traj.frames)
         for a, b in zip(traj.frames, back.frames):
             assert b.t == a.t
@@ -281,7 +279,7 @@ class TestWritePelletFile:
 
     def test_invalid_pellets_written_as_sentinel(self, tmp_path):
         frames = (make_frame(0.0), make_frame(0.01, invalid={"T3"}))
-        traj = pellet_trajectory(frames, "s", "u", 100.0)
+        traj = pellet_trajectory(frames)
         path = tmp_path / "out.csv"
         write_pellet_file(traj, path)
         lines = path.read_text().splitlines()
@@ -354,7 +352,6 @@ def pellet_outcome(path):
         traj.t.tobytes(),
         traj.xy.tobytes(),
         traj.valid.tobytes(),
-        traj.native_rate,
         report,
     )
 
@@ -543,14 +540,13 @@ class TestResample:
         for k in range(n):
             coords = wobbled_pellets(2.0 * math.pi * k / n)
             frames.append(make_frame(k / rate, coords, invalid=invalid.get(k)))
-        return pellet_trajectory(frames, "s", "u", rate)
+        return pellet_trajectory(frames)
 
     def test_grid_count_and_times(self):
         # 81 frames at 80 Hz span exactly 1 s; at 145 Hz that is 146 samples.
         traj = self.make_traj(81, 80.0)
         out = resample(traj, 145.0)
         assert len(out.frames) == 146
-        assert out.native_rate == 145.0
         for k, frame in enumerate(out.frames):
             assert frame.t == k / 145.0
         assert out.frames[-1].t <= traj.frames[-1].t
@@ -558,7 +554,7 @@ class TestResample:
     def test_constant_signal_reproduced_exactly(self):
         coords = reference_pellets()
         frames = tuple(make_frame(k / 80.0, coords) for k in range(41))
-        traj = pellet_trajectory(frames, "s", "u", 80.0)
+        traj = pellet_trajectory(frames)
         out = resample(traj, 145.0)
         for frame in out.frames:
             for name in PELLET_NAMES:
@@ -575,7 +571,7 @@ class TestResample:
             t = k / 80.0
             coords = {name: (x + a * t, y + b * t) for name, (x, y) in base.items()}
             frames.append(make_frame(t, coords))
-        traj = pellet_trajectory(frames, "s", "u", 80.0)
+        traj = pellet_trajectory(frames)
         out = resample(traj, 145.0)
         for frame in out.frames:
             for name in PELLET_NAMES:
@@ -624,7 +620,7 @@ class TestResample:
             x0, y0 = base["T2"]
             coords["T2"] = (x0 + t, y0) if k != 4 else (777777.0, 999999.0)
             frames.append(make_frame(t, coords, invalid={"T2"} if k == 4 else None))
-        traj = pellet_trajectory(frames, "s", "u", rate)
+        traj = pellet_trajectory(frames)
         out = resample(traj, 160.0)
         x0, _ = base["T2"]
         for frame in out.frames:
@@ -643,7 +639,7 @@ class TestResample:
         # Span 0.9999 s at 145 Hz gives floor(144.985) + 1 = 145 samples.
         frames = [make_frame(k / 100.0, reference_pellets()) for k in range(100)]
         frames.append(make_frame(0.9999, reference_pellets()))
-        traj = pellet_trajectory(frames, "s", "u", 100.0)
+        traj = pellet_trajectory(frames)
         out = resample(traj, 145.0)
         assert len(out.frames) == 145
         assert out.frames[-1].t <= 0.9999
@@ -652,13 +648,13 @@ class TestResample:
         # Span 1/3 at 3 Hz: the float product is just below 1.0 and the
         # epsilon guard must keep the endpoint sample.
         frames = (make_frame(0.0), make_frame(1.0 / 3.0))
-        traj = pellet_trajectory(frames, "s", "u", 3.0)
+        traj = pellet_trajectory(frames)
         out = resample(traj, 3.0)
         assert len(out.frames) == 2
         assert out.frames[1].t == 1.0 / 3.0
 
     def test_single_frame_insufficient(self):
-        traj = pellet_trajectory((make_frame(0.0),), "s", "solo", 100.0)
+        traj = pellet_trajectory((make_frame(0.0),), "solo")
         with pytest.raises(InsufficientData) as excinfo:
             resample(traj, 145.0)
         assert str(excinfo.value) == "need at least 2 frames to resample, got 1"
@@ -693,6 +689,16 @@ class TestResample:
         with pytest.raises(DataError, match="needs a grid of 146 samples"):
             resample(traj, 145.0)
 
+    def test_grid_that_stops_increasing_is_data_error(self):
+        # Doubles near 5e13 s are 1/128 s apart, more than a 145 Hz step.
+        frames = [make_frame(5e13 + k / 100.0) for k in range(30)]
+        with pytest.raises(DataError) as excinfo:
+            resample(pellet_trajectory(frames), 145.0)
+        assert str(excinfo.value) == (
+            "resampling at 145 Hz from t = 50000000000000.0 s gives grid times "
+            "that do not increase at sample 5"
+        )
+
     def test_bad_target_rate(self):
         traj = self.make_traj(5, 80.0)
         with pytest.raises(ValueError):
@@ -711,7 +717,7 @@ class TestResampleProperties:
         xy = rng.uniform(-50.0, 50.0, size=(n, len(PELLET_NAMES), 2))
         valid = rng.random((n, len(PELLET_NAMES))) < 0.7
         valid[[0, -1]] = True
-        return PelletTrajectory("s", "u", np.array(times), xy, valid, 100.0)
+        return PelletTrajectory("u", np.array(times), xy, valid)
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
@@ -847,7 +853,8 @@ class TestLoadManifest:
             load_manifest(self.write(tmp_path, payload))
 
     @pytest.mark.parametrize(
-        "speaker_id", ["../evil", "a/b", "/abs", "a\\b", "a\0b", ".", ".."]
+        "speaker_id",
+        ["../evil", "a/b", "/abs", "a\\b", "a\0b", ".", "..", "\ud800", "\udc80"],
     )
     def test_speaker_id_must_be_a_plain_file_name(self, tmp_path, speaker_id):
         with pytest.raises(ConfigError, match="must be a plain file name"):

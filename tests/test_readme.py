@@ -37,7 +37,6 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     exec(compile(library_use_block(), str(README), "exec"), namespace)
 
     tvs = namespace["tvs"]
-    assert tvs.speaker_id == "jw11"
     assert len(tvs) == 30
     assert (tvs.quality == QUALITIES.index(Quality.OK)).all()
     expected = np.array([EXPECTED_TV[name] for name in TV_NAMES])

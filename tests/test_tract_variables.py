@@ -30,14 +30,12 @@ from reference import (
     pellet_trajectory,
     point_polyline_clearance,
     tongue_body_circle,
-    tv_trajectory,
 )
 from tractvar.errors import CollinearPoints, DegenerateAngle
 from tractvar.geometry import Point2D, Polyline
 from tractvar.tract_variables import (
     PELLET_NAMES,
     Quality,
-    TractVariableFrame,
     compute_trajectory,
 )
 
@@ -216,14 +214,12 @@ class TestTrajectory:
         frames = tuple(
             make_frame(k / rate, wobbled_pellets(0.17 * k)) for k in range(n)
         )
-        return pellet_trajectory(frames, utterance_id="u0", native_rate=rate)
+        return pellet_trajectory(frames, utterance_id="u0")
 
     def test_maps_frames_one_to_one(self, anatomy):
         traj = self._pellet_trajectory(24)
         tvs = compute_trajectory(traj, anatomy)
         assert len(tvs.frames) == 24
-        assert tvs.sample_rate == 145.0
-        assert tvs.speaker_id == "synth"
         assert [f.t for f in tvs.frames] == [f.t for f in traj.frames]
 
     def test_empty_trajectory(self, anatomy):
@@ -236,20 +232,6 @@ class TestTrajectory:
         forward = compute_trajectory(traj, anatomy).frames
         backward = [compute_frame(f, anatomy) for f in reversed(traj.frames)]
         assert list(forward) == list(reversed(backward))
-
-    def test_grid_validation(self):
-        good = TractVariableFrame(
-            t=0.0, la=1.0, lp=1.0, tbcl=0.0, tbcd=1.0, ttcl=0.0, ttcd=1.0,
-            quality=Quality.OK,
-        )
-        off = TractVariableFrame(
-            t=0.5, la=1.0, lp=1.0, tbcl=0.0, tbcd=1.0, ttcl=0.0, ttcd=1.0,
-            quality=Quality.OK,
-        )
-        with pytest.raises(ValueError):
-            tv_trajectory((good, off), sample_rate=145.0)
-        with pytest.raises(ValueError):
-            tv_trajectory((), sample_rate=0.0)
 
     def test_pellet_positions_never_read_when_invalid(self, anatomy):
         # An invalid pellet may carry sentinel coordinates; the result for
@@ -264,8 +246,8 @@ class TestTrajectory:
         assert tv_a.tbcl == tv_b.tbcl
 
 
-def trajectory_of(frames, rate=145.0):
-    return pellet_trajectory(frames, native_rate=rate)
+def trajectory_of(frames):
+    return pellet_trajectory(frames)
 
 
 def assert_matches_scalar(traj, anat, clamp_tbcd=False):

@@ -35,7 +35,7 @@ def sample_trajectory(n=6):
     values[1:2, :2] = math.nan
     quality[4:5] = DEGENERATE
     values[4:5, 2:] = math.nan
-    return TvTrajectory("s", np.arange(n) / 145.0, values, quality, 145.0)
+    return TvTrajectory(np.arange(n) / 145.0, values, quality)
 
 
 def outcome(read, path):
@@ -233,7 +233,7 @@ def trajectories(draw):
     ).reshape(n, 6)
     values[absent & (quality != OK)[:, None]] = math.nan
     t = t0 + np.arange(n) / rate
-    return TvTrajectory("s", t, values, quality, rate)
+    return TvTrajectory(t, values, quality)
 
 
 @settings(
