@@ -81,6 +81,10 @@ def compare_tvs(path_a, path_b) -> ComparisonReport:
     ok = (quality_a == _OK) & (quality_b == _OK)
     a = values_a[ok]
     b = values_b[ok]
+    if len(a) < 2:
+        raise LengthMismatch(
+            f"only {len(a)} frame(s) are Ok in both files; need at least 2"
+        )
     scores = {name: ppmc(a[:, k], b[:, k]) for k, name in enumerate(TV_NAMES)}
     average = sum(scores.values()) / len(scores)
     return ComparisonReport(

@@ -321,12 +321,13 @@ class SpeakerSpec:
 
 
 def _can_name_a_file(text: str) -> bool:
-    """False when `text` holds a NUL or a lone surrogate, as JSON allows."""
+    """False for a lone surrogate, as JSON allows, or a control character
+    (U+0000-U+001F, U+007F), which would split a log line in two."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         return False
-    return "\0" not in text
+    return all(" " <= c != "\x7f" for c in text)
 
 
 def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
@@ -350,7 +351,7 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
     ):
         raise ConfigError(
             f"speaker_id {speaker_id!r} must be a plain file name: no '/', "
-            f"'\\', NUL or lone surrogate, and not '.' or '..'"
+            f"'\\', control character or lone surrogate, and not '.' or '..'"
         )
     try:
         sex = Sex(sex_code)
@@ -395,33 +396,12 @@ def _speaker_from_mapping(entry: object, base: Path) -> SpeakerSpec:
     )
 
 
-def _reject_duplicates(path: Path, speakers: list[SpeakerSpec]) -> None:
-    """Outputs are named by speaker id and by utterance file stem, flat in
-    one directory, so each must be unique across the manifest."""
-    speaker_ids: set[str] = set()
-    stems: dict[str, Path] = {}
-    for spec in speakers:
-        if spec.speaker_id in speaker_ids:
-            raise ConfigError(f"{path}: speaker_id {spec.speaker_id!r} is listed twice")
-        speaker_ids.add(spec.speaker_id)
-        for utterance in spec.utterance_paths:
-            if utterance.stem in stems:
-                raise ConfigError(
-                    f"{path}: utterances {stems[utterance.stem]} and {utterance} "
-                    f"share the file stem {utterance.stem!r}, so their outputs "
-                    f"would collide"
-                )
-            stems[utterance.stem] = utterance
-
-
 def load_manifest(path: str | Path) -> list[SpeakerSpec]:
     """Load a speaker manifest (single object or list of objects).
 
     Raises ConfigError for malformed entries, for a path field that is
-    not a non-empty string that can name a file (no NUL and no lone
-    surrogate), for a speaker id that is not a plain file name, and when
-    two speakers share an id or two utterance files share a stem, since
-    either would make one output overwrite another.
+    not a non-empty string that can name a file (no control character
+    or lone surrogate), and for a speaker id that is not a plain file name.
     """
     path = Path(path)
     try:
@@ -438,5 +418,4 @@ def load_manifest(path: str | Path) -> list[SpeakerSpec]:
     if not entries:
         raise ConfigError(f"{path}: manifest lists no speakers")
     speakers = [_speaker_from_mapping(entry, base) for entry in entries]
-    _reject_duplicates(path, speakers)
     return speakers

@@ -1,6 +1,7 @@
 """Batch processing: manifest in, per-utterance TV files out.
 
-A run has two phases.  First every speaker's anatomy is derived and
+First `output_clash` checks that no planned output lands on an input
+or on another output.  Then every speaker's anatomy is derived and
 written, in the calling process.  Then each utterance is a pure function
 of its own input file plus its speaker's anatomy.  With parallelism 1
 the utterances run one after another in the calling thread; above 1 the
@@ -92,40 +93,53 @@ def _utterance_outputs(utterance_path: Path, output_dir: Path) -> list[Path]:
     return [output_dir / f"{utterance_path.stem}.{ext}" for ext in ("tv.csv", "tvs.svg")]
 
 
-def _realpath(path: Path, dirs: dict[str, str]) -> str:
-    """`os.path.realpath(path)`, resolving each parent directory once."""
-    head, name = os.path.split(path)
-    if head not in dirs:
-        dirs[head] = os.path.realpath(head)
-    real = os.path.join(dirs[head], name)
-    return os.path.realpath(real) if os.path.islink(real) else real
+def output_clash(inputs: list[Path], outputs: list[tuple[Path, str]]) -> str | None:
+    """Why the planned outputs cannot all be written, or None.  Each output
+    is paired with the item it is written for ("speaker jw11"), and may
+    resolve neither to an input nor to the file of an earlier output."""
+    dirs: dict[str, str] = {}
+
+    def realpath(path: Path) -> str:  # resolves each parent directory once
+        head, name = os.path.split(path)
+        if head not in dirs:
+            dirs[head] = os.path.realpath(head)
+        real = os.path.join(dirs[head], name)
+        return os.path.realpath(real) if os.path.islink(real) else real
+
+    # Reversed, so that the first input to name a file is the one reported.
+    claimed = {realpath(path): f"input {path}" for path in reversed(inputs)}
+    for path, item in outputs:
+        real = realpath(path)
+        if real in claimed:
+            return f"output {path} would overwrite {claimed[real]}"
+        claimed[real] = f"the output of {item}"
+    return None
 
 
 def _load_speakers(
     manifest_path: Path, output_dir: Path, svg: bool, utterances: bool
 ) -> list[SpeakerSpec] | None:
-    """Load the manifest, or log why not and return None.  Before anything
-    is written, a manifest is refused when a planned output resolves to
-    one of its inputs: the manifest, a trace or an utterance."""
+    """Load the manifest and check its planned outputs against its inputs
+    (manifest, traces, utterances) and each other.  On failure, log why
+    and return None."""
     try:
         speakers = load_manifest(manifest_path)
     except (OSError, ConfigError) as exc:
         logger.error("cannot load manifest: %s", exc)
         return None
-    dirs: dict[str, str] = {}
-    inputs = {_realpath(manifest_path, dirs): manifest_path}
-    outputs: list[Path] = []
+    inputs = [manifest_path]
+    outputs: list[tuple[Path, str]] = []
     for spec in speakers:
-        for path in (spec.palate_path, spec.posterior_wall_path, *spec.utterance_paths):
-            inputs.setdefault(_realpath(path, dirs), path)
-        outputs += _anatomy_outputs(spec, output_dir)[: 2 if svg else 1]
+        inputs += [spec.palate_path, spec.posterior_wall_path, *spec.utterance_paths]
+        for output in _anatomy_outputs(spec, output_dir)[: 2 if svg else 1]:
+            outputs.append((output, f"speaker {spec.speaker_id}"))
         for path in spec.utterance_paths if utterances else ():
-            outputs += _utterance_outputs(path, output_dir)[: 2 if svg else 1]
-    for output in outputs:
-        clobbered = inputs.get(_realpath(output, dirs))
-        if clobbered is not None:
-            logger.error("output %s would overwrite input %s", output, clobbered)
-            return None
+            for output in _utterance_outputs(path, output_dir)[: 2 if svg else 1]:
+                outputs.append((output, f"utterance {path}"))
+    clash = output_clash(inputs, outputs)
+    if clash is not None:
+        logger.error("%s", clash)
+        return None
     return speakers
 
 

@@ -63,10 +63,11 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
         )
 
     traces = [palate, extension, anterior, posterior]
+    title = anat.speaker_id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
-        f'<title>speaker {anat.speaker_id} anatomy</title>',
+        f'<title>speaker {title} anatomy</title>',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
     for (cls, color, dash), pts in zip(_TRACE_STYLES, traces):

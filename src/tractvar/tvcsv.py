@@ -48,7 +48,11 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
     path = Path(path)
     if not path.name:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    name, suffix = path.name, f".{os.getpid()}.tmp"
+    if len(os.fsencode(name)) > 64:
+        # Cut by what the temporary name adds, so that it fits where this does.
+        name = name[: -len(suffix) - 1]
+    tmp = path.with_name(f".{name}{suffix}")
     try:
         with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
             yield fh

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -504,7 +505,8 @@ class TestRunRejectsBadConfig:
 
     @pytest.mark.parametrize("value", [None, {}, {"path": "utt00.csv"}, 0, 1.5,
                                        True, [], ["palate.csv"], "", "a\u0000b",
-                                       "\ud800", "\udc80.csv"])
+                                       "\ud800", "\udc80.csv", "a\nb", "u\r.csv",
+                                       "\t"])
     @pytest.mark.parametrize("key", ["palate", "posterior_wall", "utterances[1]"])
     def test_path_fields_must_be_strings(self, tmp_path, caplog, key, value):
         manifest = write_speaker_fixture(tmp_path / "data", n_utterances=2)
@@ -536,8 +538,8 @@ class TestRunRejectsBadConfig:
             command, "--manifest", manifest, "--out", tmp_path / "out"
         ) == (1, [
             f"ERROR tractvar.pipeline: cannot load manifest: speaker_id "
-            f"{speaker_id!r} must be a plain file name: no '/', '\\', NUL or lone "
-            f"surrogate, and not '.' or '..'"
+            f"{speaker_id!r} must be a plain file name: no '/', '\\', control "
+            f"character or lone surrogate, and not '.' or '..'"
         ])
         assert not (tmp_path / "out").exists()
 
@@ -633,9 +635,9 @@ class TestRunRejectsBadConfig:
         )
         assert {p: p.read_bytes() for p in root.iterdir()} == before
 
-    def test_shared_utterance_stem(self, tmp_path, caplog):
-        # Two speakers that both list utt00.csv would write one utt00.tv.csv.
-        root = tmp_path / "data"
+    @staticmethod
+    def shared_stem_manifest(root):
+        """Speakers a and b, each listing its own utt00.csv."""
         write_speaker_fixture(root / "a", n_frames=30, speaker_id="a")
         write_speaker_fixture(root / "b", n_frames=50, speaker_id="b")
         entries = [
@@ -648,11 +650,45 @@ class TestRunRejectsBadConfig:
             }
             for s in ("a", "b")
         ]
-        manifest = write_manifest(root, entries)
+        return write_manifest(root, entries)
+
+    def test_shared_utterance_stem(self, tmp_path):
+        # Two speakers that both list utt00.csv would write one utt00.tv.csv.
+        root = tmp_path / "data"
+        manifest = self.shared_stem_manifest(root)
         out = tmp_path / "out"
-        assert run_cli("run", "--manifest", manifest, "--out", out) == 1
-        self.assert_one_line_error(caplog, "share the file stem 'utt00'")
-        assert not (out / "utt00.tv.csv").exists()
+        assert run_cli_process("run", "--manifest", manifest, "--out", out) == (1, [
+            f"ERROR tractvar.pipeline: output {out / 'utt00.tv.csv'} would "
+            f"overwrite the output of utterance {root / 'a' / 'utt00.csv'}"
+        ])
+        assert not out.exists()
+
+    def test_utterance_listed_twice(self, tmp_path):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        entry = json.loads(manifest.read_text())
+        entry["utterances"] = ["utt00.csv", "utt01.csv", "utt00.csv"]
+        manifest.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        assert run_cli_process("run", "--manifest", manifest, "--out", out) == (1, [
+            f"ERROR tractvar.pipeline: output {out / 'utt00.tv.csv'} would "
+            f"overwrite the output of utterance {root / 'utt00.csv'}"
+        ])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "anatomy"])
+    def test_speaker_listed_twice(self, tmp_path, command):
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root, n_utterances=2)
+        entry = json.loads(manifest.read_text())
+        entries = [{**entry, "utterances": [u]} for u in entry["utterances"]]
+        manifest.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        assert run_cli_process(command, "--manifest", manifest, "--out", out) == (1, [
+            f"ERROR tractvar.pipeline: output {out / 'synth.anatomy.json'} would "
+            f"overwrite the output of speaker synth"
+        ])
+        assert not out.exists()
 
 
 class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -920,6 +956,16 @@ class TestAtomicOutputs:
         assert target.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_longest_legal_name(self, tmp_path):
+        # The temporary name must fit in the directory whenever the
+        # target's name does.
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        target = tmp_path / ("x" * (name_max - len(".anatomy.json")) + ".anatomy.json")
+        with open_atomic(target) as fh:
+            fh.write("{}\n")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "{}\n"
+
 
 class TestCompare:
     def make_tv_files(self, tmp_path, n_utterances=2):
@@ -1080,6 +1126,23 @@ class TestCompare:
         assert report.read_bytes() == before
         assert list(report.parent.iterdir()) == [report]
 
+    @pytest.mark.parametrize("n_ok", [0, 1])
+    def test_too_few_ok_frames_is_data_error(self, tmp_path, caplog, capsys, n_ok):
+        a, b = tmp_path / "a.tv.csv", tmp_path / "b.tv.csv"
+        for path in (a, b):
+            rows = [",".join(TV_HEADER)] + [
+                f"{k / 145!r},{k},{k},{k},{k},{k},{k},"
+                + ("Ok" if k < n_ok else "DegenerateTongue")
+                for k in range(4)
+            ]
+            path.write_text("\n".join(rows) + "\n")
+        assert run_cli("compare", a, b) == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            f"only {n_ok} frame(s) are Ok in both files; need at least 2"
+        ]
+
     def test_constant_series_is_data_error(self, tmp_path):
         manifest = write_speaker_fixture(tmp_path / "data")
         out = tmp_path / "out"
@@ -1105,6 +1168,27 @@ class TestAnatomySubcommand:
         assert cx == pytest.approx(-30.0, abs=1e-3)
         assert cy == pytest.approx(-5.0, abs=1e-3)
         assert (out / "synth.anatomy.svg").exists()
+
+    def test_shared_utterance_stems_are_accepted(self, tmp_path, caplog):
+        # `anatomy` writes no TV files, so utterances may share a stem.
+        manifest = TestRunRejectsBadConfig.shared_stem_manifest(tmp_path / "data")
+        out = tmp_path / "anat"
+        assert run_cli("anatomy", "--manifest", manifest, "--out", out) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.anatomy.json", "a.anatomy.svg", "b.anatomy.json", "b.anatomy.svg"
+        ]
+        for s in ("a", "b"):
+            assert json.loads((out / f"{s}.anatomy.json").read_text())["speaker_id"] == s
+
+    @pytest.mark.parametrize("speaker_id", ["a&b", "<x>"])
+    def test_figure_title_is_escaped(self, tmp_path, speaker_id):
+        manifest = write_speaker_fixture(tmp_path / "data", speaker_id=speaker_id)
+        out = tmp_path / "anat"
+        assert run_cli("anatomy", "--manifest", manifest, "--out", out) == 0
+        svg = ElementTree.parse(out / f"{speaker_id}.anatomy.svg").getroot()
+        title = svg.find("{http://www.w3.org/2000/svg}title")
+        assert title.text == f"speaker {speaker_id} anatomy"
 
     def test_missing_manifest_is_config_error(self, tmp_path):
         rc = run_cli(
@@ -1361,7 +1445,7 @@ MANIFEST_VALUES = [
     None, 0, -1.0, 1e6, 1e308, "", "..", "a/b", "M", [], {}, "nope.csv",
     "palate.csv", "utt00.csv", ["utt00.csv", "utt00.csv"], ["palate.csv"],
     {"path": "palate.csv"}, [None], [{}], [0], [""], [["utt00.csv"]],
-    "a\u0000b", "\ud800", "\udc80.csv", ["\ud800.csv"],
+    "a\u0000b", "\ud800", "\udc80.csv", ["\ud800.csv"], "a\nb", "u\r.csv", "\t",
 ]
 
 
