@@ -967,6 +967,19 @@ class TestAtomicOutputs:
         assert target.read_text() == "{}\n"
 
 
+class TestOutputClash:
+    def test_shared_utterance_stem_rejected(self, tmp_path):
+        # a/utt00.csv and b/utt00.csv both write out/utt00.tv.csv; the first
+        # utterance to plan that file keeps it.
+        a, b = tmp_path / "a" / "utt00.csv", tmp_path / "b" / "utt00.csv"
+        out = tmp_path / "out" / "utt00.tv.csv"
+        outputs = [(out, f"utterance {a}"), (out, f"utterance {b}")]
+        assert pipeline.output_clash([a, b], outputs) == (
+            f"output {out} would overwrite the output of utterance {a}"
+        )
+        assert pipeline.output_clash([a, b], outputs[:1]) is None
+
+
 class TestCompare:
     def make_tv_files(self, tmp_path, n_utterances=2):
         manifest = write_speaker_fixture(
