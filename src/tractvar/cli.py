@@ -42,6 +42,9 @@ logger = logging.getLogger("tractvar.cli")
 
 LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
+# C0 controls and DEL, each replaced by its `repr` escape (a newline by \n).
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), 0x7F)}
+
 _LOG_LEVELS = {
     "error": logging.ERROR,
     "warn": logging.WARNING,
@@ -51,10 +54,20 @@ _LOG_LEVELS = {
 }
 
 
+class _OneLineFormatter(logging.Formatter):
+    """Escapes control characters, so that a record naming a path with a
+    newline in it still takes one line."""
+
+    def formatMessage(self, record: logging.LogRecord) -> str:
+        return super().formatMessage(record).translate(_ESCAPES)
+
+
 def _setup_logging() -> None:
     name = os.environ.get("TRACTVAR_LOG", "warn").strip().lower()
     level = _LOG_LEVELS.get(name, logging.WARNING)
-    logging.basicConfig(level=level, format=LOG_FORMAT)
+    handler = logging.StreamHandler()
+    handler.setFormatter(_OneLineFormatter(LOG_FORMAT))
+    logging.basicConfig(level=level, handlers=[handler])
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1317,6 +1317,55 @@ class TestOutOfRangeTraces:
         )
 
 
+class TestOneLineLogs:
+    """A path holding a newline is logged with the newline escaped, so
+    that each record stays one line of stderr."""
+
+    @staticmethod
+    def fixture(tmp_path):
+        root = tmp_path / "d\nx"
+        manifest = write_speaker_fixture(root)
+        return root, manifest, str(root).replace("\n", "\\n")
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_missing_utterance(self, tmp_path, parallelism):
+        root, manifest, shown = self.fixture(tmp_path)
+        entry = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**entry, "utterances": ["missing.csv"]}))
+        proc = run_python(
+            "-m", "tractvar.cli", "run", "--manifest", manifest,
+            "--out", tmp_path / "out", "--parallelism", parallelism,
+        )
+        assert (proc.returncode, proc.stderr) == (1, (
+            f"ERROR tractvar.pipeline: utterance {shown}/missing.csv: "
+            f"No such file or directory\n"
+        ))
+
+    def test_refused_output(self, tmp_path):
+        # The palate file has the name of the speaker's anatomy output, and
+        # --out is the directory that holds it.
+        root, manifest, shown = self.fixture(tmp_path)
+        (root / "palate.csv").rename(root / "synth.anatomy.json")
+        entry = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**entry, "palate": "synth.anatomy.json"}))
+        proc = run_python("-m", "tractvar.cli", "anatomy", "--manifest", manifest,
+                          "--out", root)
+        assert (proc.returncode, proc.stderr) == (1, (
+            f"ERROR tractvar.pipeline: output {shown}/synth.anatomy.json "
+            f"would overwrite input {shown}/synth.anatomy.json\n"
+        ))
+
+    def test_trace_warning(self, tmp_path):
+        root, manifest, shown = self.fixture(tmp_path)
+        write_trace_csv(root / "palate.csv", palate_coords()[::-1])
+        proc = run_python("-m", "tractvar.cli", "anatomy", "--manifest", manifest,
+                          "--out", tmp_path / "out")
+        assert (proc.returncode, proc.stderr) == (0, (
+            f"WARNING tractvar.ingest: {shown}/palate.csv: palate trace was "
+            f"ordered by ascending x; reversed on load\n"
+        ))
+
+
 class TestArgParsing:
     def test_no_subcommand_exits(self):
         assert main([]) == 1

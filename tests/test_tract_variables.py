@@ -15,8 +15,10 @@ from helpers import (
     TB_RADIUS_MM,
     make_frame,
     on_arc,
+    palate_coords,
     reference_pellets,
     synthetic_anatomy,
+    wall_coords,
     wobbled_pellets,
 )
 from reference import (
@@ -31,8 +33,10 @@ from reference import (
     point_polyline_clearance,
     tongue_body_circle,
 )
+from tractvar.anatomy import Sex, build_speaker_anatomy
 from tractvar.errors import CollinearPoints, DegenerateAngle
 from tractvar.geometry import Point2D, Polyline
+from tractvar.ingest import PelletTrajectory
 from tractvar.tract_variables import (
     PELLET_NAMES,
     Quality,
@@ -514,3 +518,83 @@ class TestBatchedProperties:
         for frame in tvs.frames:
             for angle in (frame.tbcl, frame.ttcl):
                 assert angle is None or -math.pi < angle <= math.pi
+
+
+def session_trajectory(n=240, seed=11):
+    """Wobbled postures with +-0.5 mm noise on the tongue pellets, plus
+    invalid pellets, collinear tongues and penetrating circles, so that
+    every quality and both tongue-body routes occur."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for k in range(n):
+        coords = wobbled_pellets(0.29 * k, amp=1.2)
+        for name in ("T1", "T2", "T3", "T4"):
+            x, y = coords[name]
+            coords[name] = (x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5))
+        invalid = {PELLET_NAMES[k % len(PELLET_NAMES)]} if k % 7 == 3 else set()
+        if k % 5 == 1:
+            coords = collinear_tongue(coords, slope=0.01 * (k % 3))
+        elif k % 5 == 2:
+            coords = penetrating_tongue(coords)
+        frames.append(make_frame(k / 145.0, coords, invalid=invalid))
+    return trajectory_of(frames)
+
+
+def shifted_anatomy(dx, dy):
+    """The synthetic speaker with palate and wall moved by (dx, dy)."""
+    palate = Polyline(Point2D(x + dx, y + dy) for x, y in palate_coords())
+    wall = Polyline(Point2D(x + dx, y + dy) for x, y in wall_coords())
+    return build_speaker_anatomy("synth", palate, wall, Sex.FEMALE)
+
+
+class TestSessionFrameInvariance:
+    """The six TVs are relative measures: moving the whole session frame
+    moves LP with it and leaves the rest unchanged up to rounding."""
+
+    @pytest.fixture(scope="class")
+    def session(self, anatomy):
+        traj = session_trajectory()
+        tvs = compute_trajectory(traj, anatomy)
+        assert set(tvs.quality.tolist()) == {0, 1, 2}
+        return traj, tvs
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        dx=st.floats(-1e4, 1e4, allow_subnormal=False),
+        dy=st.floats(-1e4, 1e4, allow_subnormal=False),
+    )
+    def test_translation(self, anatomy, session, dx, dy):
+        traj, base = session
+        moved = shifted_anatomy(dx, dy)
+        shifted = compute_trajectory(
+            PelletTrajectory(traj.utterance_id, traj.t, traj.xy + (dx, dy), traj.valid),
+            moved,
+        )
+        assert len(moved.extended_palate) == len(anatomy.extended_palate)
+        assert shifted.quality.tolist() == base.quality.tolist()
+        np.testing.assert_array_equal(shifted.values[:, 1], base.values[:, 1] + dx)
+        # Rounding the moved coordinates errs by an ulp of the largest
+        # magnitude in play, which grows with the shift; the 100 mm term
+        # is the extent of the fixture itself.
+        bound = 64 * np.finfo(np.float64).eps * (max(abs(dx), abs(dy)) + 100.0)
+        others = [0, 2, 3, 4, 5]
+        np.testing.assert_array_equal(
+            np.isnan(shifted.values[:, others]), np.isnan(base.values[:, others])
+        )
+        error = np.nan_to_num(np.abs(shifted.values[:, others] - base.values[:, others]))
+        assert error.max() <= bound
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_subset_of_frames(self, anatomy, session, data):
+        traj, full = session
+        rows = np.array(
+            sorted(data.draw(st.sets(st.integers(0, len(traj) - 1)))), dtype=np.intp
+        )
+        part = compute_trajectory(
+            PelletTrajectory(traj.utterance_id, traj.t[rows], traj.xy[rows], traj.valid[rows]),
+            anatomy,
+        )
+        assert part.t.tobytes() == full.t[rows].tobytes()
+        assert part.values.tobytes() == full.values[rows].tobytes()
+        assert part.quality.tobytes() == full.quality[rows].tobytes()
