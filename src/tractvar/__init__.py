@@ -30,7 +30,6 @@ from .geometry import (
     Circle,
     Point2D,
     Polyline,
-    distance,
     extend_line_to_polyline,
     fit_circle,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "build_speaker_anatomy",
     "compare_tvs",
     "compute_trajectory",
-    "distance",
     "extend_line_to_polyline",
     "extend_palate",
     "fit_circle",

@@ -12,6 +12,10 @@ computation needs:
   wall down;
 * a reference center for constriction angles, taken from a circle fit
   through the palate trace (only the center is used).
+
+Every trace, measured or derived, is a `Polyline`, whose `.xy` holds
+its points as one (n, 2) array of (x, y) rows; the derivations below
+work on those arrays whole.
 """
 
 from __future__ import annotations
@@ -20,11 +24,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AnatomyInconsistent, DegenerateTrace
 from .geometry import (
     Point2D,
     Polyline,
-    distance,
     extend_line_to_polyline,
     fit_circle,
 )
@@ -86,10 +91,13 @@ def infer_anterior_wall(posterior_wall: Polyline, thickness_mm: float) -> Polyli
     """
     if not math.isfinite(thickness_mm) or thickness_mm <= 0.0:
         raise ValueError(f"thickness must be positive, got {thickness_mm}")
+    xy = posterior_wall.xy.copy()
+    # Only x moves: adding (thickness, 0.0) would turn a -0.0 y into 0.0.
+    # A sum past the float range is refused below, so numpy need not warn.
+    with np.errstate(over="ignore"):
+        xy[:, 0] += thickness_mm
     try:
-        return Polyline(
-            Point2D(p.x + thickness_mm, p.y) for p in posterior_wall.points
-        )
+        return Polyline(xy)
     except ValueError as exc:
         # The shift can round two wall points into one, or leave the float range.
         raise DegenerateTrace(
@@ -114,36 +122,30 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
     indicates mislabeled traces, and DegenerateTrace when the extended
     points do not form a polyline.
     """
-    second_last, last = palate.points[-2], palate.points[-1]
+    second_last, last = palate.xy[-2:].tolist()
     junction, _ = extend_line_to_polyline(second_last, last, anterior_wall)
-    if junction.y > last.y + _MAX_JUNCTION_RISE_MM:
+    (lx, ly), (jx, jy) = last, junction
+    if jy > ly + _MAX_JUNCTION_RISE_MM:
         raise AnatomyInconsistent(
-            f"palate extension meets the anterior wall {junction.y - last.y:.1f} mm "
+            f"palate extension meets the anterior wall {jy - ly:.1f} mm "
             f"above the palate end; traces look inconsistent"
         )
-    points = list(palate.points)
-    gap = distance(last, junction)
+    gap = math.hypot(lx - jx, ly - jy)
     if gap > _MAX_EXTENSION_MM:
         raise AnatomyInconsistent(
             f"palate extension to the anterior wall is {gap:g} mm long, more than "
             f"{_MAX_EXTENSION_MM:g} mm; traces look inconsistent"
         )
+    parts = [palate.xy]
     if gap > 1e-9:
         steps = max(1, math.ceil(gap / VELUM_STEP_MM))
-        for k in range(1, steps):
-            f = k / steps
-            points.append(
-                Point2D(
-                    last.x + f * (junction.x - last.x),
-                    last.y + f * (junction.y - last.y),
-                )
-            )
-        points.append(junction)
-    for w in anterior_wall.points:
-        if w.y < junction.y - 1e-9:
-            points.append(w)
+        start, end = np.array([last, junction])
+        k = np.arange(1, steps)
+        parts += [start + (k / steps)[:, None] * (end - start), end[None]]
+    wall = anterior_wall.xy
+    parts.append(wall[wall[:, 1] < jy - 1e-9])
     try:
-        return Polyline(points)
+        return Polyline(np.concatenate(parts))
     except ValueError as exc:
         # Far from the origin the 1 mm samples can round into one point.
         raise DegenerateTrace(f"extended palate: {exc}") from None
@@ -155,12 +157,12 @@ def palatal_reference_center(palate: Polyline) -> Point2D:
     Only the center is kept; the circle itself plays no further role.
     Raises DegenerateTrace for a palate of fewer than 3 points.
     """
-    if len(palate.points) < 3:
+    if len(palate) < 3:
         raise DegenerateTrace(
-            f"palate trace has {len(palate.points)} points; "
+            f"palate trace has {len(palate)} points; "
             f"a reference circle needs at least 3"
         )
-    return fit_circle(palate.points).center
+    return fit_circle(palate.xy).center
 
 
 def build_speaker_anatomy(
@@ -180,7 +182,7 @@ def build_speaker_anatomy(
     anterior = infer_anterior_wall(posterior_wall, thickness)
     extended = extend_palate(palate, anterior)
     center = palatal_reference_center(palate)
-    lowest_palate_y = min(p.y for p in palate.points)
+    lowest_palate_y = float(palate.xy[:, 1].min())
     if center.y >= lowest_palate_y:
         raise AnatomyInconsistent(
             f"palatal reference center ({center.x:g}, {center.y:g}) is not "

@@ -6,6 +6,11 @@ convention used throughout the package: measured at a reference center,
 zero along +y (toward the palate), increasing toward +x (anterior), in
 radians on (-pi, pi].
 
+A trace is a `Polyline`, which holds its points as one read-only (n, 2)
+float64 array of (x, y) rows, `.xy`; trace readers, the anatomy
+derivations and the writers all work on that array.  Single positions,
+such as a circle's center, are `Point2D`.
+
 The polyline distance queries are the per-frame hot path, so `Polyline`
 precomputes per-segment arrays once and `nearest_many` answers whole
 blocks of points at a time, vectorized over points and segments.  It is
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,27 +77,34 @@ class Circle:
 
 
 class Polyline:
-    """An ordered open chain of at least two points.
+    """An ordered open chain of at least two points, held as one (n, 2)
+    float64 array of (x, y) rows, `.xy`.
 
-    Consecutive points must be distinct.  Construction precomputes the
-    per-segment quantities used by the nearest-point queries; instances
-    are immutable and safe to share across worker threads.  A segment
-    for which any of them leaves the float range (a squared length that
-    overflows or underflows to zero, say) raises DegenerateTrace.
+    Consecutive points must be distinct and every coordinate finite.
+    Construction copies the points, makes the copy read-only and
+    precomputes the per-segment quantities used by the nearest-point
+    queries, so instances are immutable and safe to share across
+    workers.  A segment for which any of them leaves the float range (a
+    squared length that overflows or underflows to zero, say) raises
+    DegenerateTrace; the other checks raise ValueError.
     """
 
-    __slots__ = ("_points", "_ax", "_ay", "_dx", "_dy", "_ux", "_uy", "_c0")
+    __slots__ = ("_xy", "_ax", "_ay", "_dx", "_dy", "_ux", "_uy", "_c0")
 
-    def __init__(self, points: Iterable[Point2D]):
-        pts = tuple(points)
-        if len(pts) < 2:
-            raise ValueError(f"polyline needs at least 2 points, got {len(pts)}")
-        for i in range(len(pts) - 1):
-            if pts[i].x == pts[i + 1].x and pts[i].y == pts[i + 1].y:
-                raise ValueError(f"zero-length segment at index {i}")
-        self._points = pts
-        xs = np.array([p.x for p in pts], dtype=np.float64)
-        ys = np.array([p.y for p in pts], dtype=np.float64)
+    def __init__(self, xy: np.ndarray):
+        xy = np.array(xy, dtype=np.float64)
+        if len(xy) < 2:
+            raise ValueError(f"polyline needs at least 2 points, got {len(xy)}")
+        bad = ~np.isfinite(xy).all(axis=1)
+        if bad.any():
+            x, y = xy[bad.argmax()].tolist()
+            raise ValueError(f"non-finite coordinates ({x}, {y})")
+        same = (xy[1:] == xy[:-1]).all(axis=1)
+        if same.any():
+            raise ValueError(f"zero-length segment at index {same.argmax()}")
+        xy.flags.writeable = False
+        self._xy = xy
+        xs, ys = xy.T.copy()
         ax = xs[:-1]
         ay = ys[:-1]
         # Folded projection coefficients: t = px*ux + py*uy - c0, already
@@ -110,10 +121,10 @@ class Polyline:
         bad = ~(np.isfinite(len2) & np.isfinite(inv_len2) & np.isfinite(c0))
         if bad.any():
             i = int(bad.argmax())
+            (x0, y0), (x1, y1) = xy[i : i + 2].tolist()
             raise DegenerateTrace(
-                f"segment {i} from ({pts[i].x:g}, {pts[i].y:g}) to "
-                f"({pts[i + 1].x:g}, {pts[i + 1].y:g}) is too long or too short "
-                f"for floating-point arithmetic"
+                f"segment {i} from ({x0:g}, {y0:g}) to ({x1:g}, {y1:g}) is too "
+                f"long or too short for floating-point arithmetic"
             )
         self._ax = ax
         self._ay = ay
@@ -124,22 +135,14 @@ class Polyline:
         self._c0 = c0
 
     @property
-    def points(self) -> tuple[Point2D, ...]:
-        return self._points
+    def xy(self) -> np.ndarray:
+        return self._xy
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polyline):
-            return NotImplemented
-        return self._points == other._points
-
-    def __hash__(self) -> int:
-        return hash(self._points)
+        return len(self._xy)
 
     def __repr__(self) -> str:
-        return f"Polyline({len(self._points)} points)"
+        return f"Polyline({len(self._xy)} points)"
 
     def nearest_many(
         self, px: np.ndarray, py: np.ndarray
@@ -178,11 +181,6 @@ class Polyline:
             cx[block] = bx[rows, i]
             cy[block] = by[rows, i]
         return index, d2, cx, cy
-
-
-def distance(p: Point2D, q: Point2D) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(p.x - q.x, p.y - q.y)
 
 
 def circle_polyline_contacts(
@@ -227,8 +225,8 @@ def _spread_twice_area(xs: np.ndarray, ys: np.ndarray) -> float:
     return extent * float(np.abs(dev).max())
 
 
-def fit_circle(points: Sequence[Point2D]) -> Circle:
-    """Algebraic least-squares circle through three or more points.
+def fit_circle(xy: np.ndarray) -> Circle:
+    """Algebraic least-squares circle through three or more (x, y) rows.
 
     Minimizes sum_i (|p_i - c|^2 - r^2)^2, which is linear in the center
     after reducing coordinates about the centroid; the radius then
@@ -238,11 +236,9 @@ def fit_circle(points: Sequence[Point2D]) -> Circle:
     TOL_COLLINEAR, and DegenerateFit when the normal equations overflow
     or are singular anyway.
     """
-    pts = list(points)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points to fit a circle, got {len(pts)}")
-    xs = np.array([p.x for p in pts], dtype=np.float64)
-    ys = np.array([p.y for p in pts], dtype=np.float64)
+    if len(xy) < 3:
+        raise ValueError(f"need at least 3 points to fit a circle, got {len(xy)}")
+    xs, ys = np.asarray(xy, dtype=np.float64).T.copy()
     # Coordinates near 1e100 overflow the third moments.  Such a fit is
     # refused below, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,8 +275,8 @@ def fit_circle(points: Sequence[Point2D]) -> Circle:
 
 
 def extend_line_to_polyline(
-    a: Point2D, b: Point2D, wall: Polyline
-) -> tuple[Point2D, int]:
+    a: tuple[float, float], b: tuple[float, float], wall: Polyline
+) -> tuple[tuple[float, float], int]:
     """First intersection of the ray from `b` away from `a` with a trace.
 
     The ray starts at `b` in direction (b - a); parameter zero (b already
@@ -288,27 +284,27 @@ def extend_line_to_polyline(
     with the smallest ray parameter wins, ties resolving to the lowest
     segment index.  Segments parallel to the ray are skipped.
 
-    Returns the intersection point and the wall segment index.  Raises
-    NoIntersection when the ray misses, ValueError when a == b.
+    Returns the intersection point (x, y) and the wall segment index.
+    Raises NoIntersection when the ray misses, ValueError when a == b.
     """
-    dx = b.x - a.x
-    dy = b.y - a.y
+    (ax, ay), (bx, by) = a, b
+    dx = bx - ax
+    dy = by - ay
     dlen = math.hypot(dx, dy)
     if dlen == 0.0:
         raise ValueError("ray direction undefined: a and b coincide")
     best_t = math.inf
     best_idx = -1
-    pts = wall.points
+    pts = wall.xy.tolist()
     for i in range(len(pts) - 1):
-        w1 = pts[i]
-        w2 = pts[i + 1]
-        sx = w2.x - w1.x
-        sy = w2.y - w1.y
+        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+        sx = x2 - x1
+        sy = y2 - y1
         denom = dx * sy - dy * sx
         if abs(denom) <= 1e-12 * dlen * math.hypot(sx, sy):
             continue
-        rx = w1.x - b.x
-        ry = w1.y - b.y
+        rx = x1 - bx
+        ry = y1 - by
         t = (rx * sy - ry * sx) / denom
         u = (rx * dy - ry * dx) / denom
         if t < -1e-9 or u < -1e-9 or u > 1.0 + 1e-9:
@@ -318,8 +314,8 @@ def extend_line_to_polyline(
             best_idx = i
     if best_idx < 0:
         raise NoIntersection(
-            f"ray from ({b.x:g}, {b.y:g}) along ({dx:g}, {dy:g}) "
+            f"ray from ({bx:g}, {by:g}) along ({dx:g}, {dy:g}) "
             f"never meets the trace"
         )
     t = max(best_t, 0.0)
-    return Point2D(b.x + t * dx, b.y + t * dy), best_idx
+    return (bx + t * dx, by + t * dy), best_idx

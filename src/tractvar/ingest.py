@@ -197,12 +197,12 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
     if kind not in ("palate", "wall"):
         raise ValueError(f"kind must be 'palate' or 'wall', got {kind!r}")
     path = Path(path)
-    points: list[Point2D] = []
+    points: list[tuple[float, float]] = []
     dropped = 0
     for line_no, (x, y) in csv_rows(
         path, TRACE_HEADER, lambda _: "trace header must be 'x,y'"
     ):
-        p = Point2D(parse_float(x, path, line_no, "x"), parse_float(y, path, line_no, "y"))
+        p = (parse_float(x, path, line_no, "x"), parse_float(y, path, line_no, "y"))
         if points and points[-1] == p:
             dropped += 1
             continue
@@ -211,13 +211,8 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
         logger.warning("%s: collapsed %d repeated consecutive point(s)", path, dropped)
     if len(points) < 2:
         raise DegenerateTrace(f"{path}: fewer than 2 distinct points")
-    if kind == "palate":
-        ascending = points[0].x < points[-1].x
-        axis = "x"
-    else:
-        ascending = points[0].y < points[-1].y
-        axis = "y"
-    if ascending:
+    column, axis = (0, "x") if kind == "palate" else (1, "y")
+    if points[0][column] < points[-1][column]:
         points.reverse()
         logger.warning(
             "%s: %s trace was ordered by ascending %s; reversed on load",
@@ -226,7 +221,7 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
             axis,
         )
     try:
-        return Polyline(points)
+        return Polyline(np.array(points))
     except DegenerateTrace as exc:
         raise DegenerateTrace(f"{path}: {exc}") from None
 

@@ -38,11 +38,10 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
 
     The palatal reference center is drawn as a marker circle.
     """
-    palate = [(p.x, p.y) for p in anat.palate.points]
-    n_palate = len(palate)
-    extension = [(p.x, p.y) for p in anat.extended_palate.points[n_palate - 1 :]]
-    anterior = [(p.x, p.y) for p in anat.anterior_wall.points]
-    posterior = [(p.x, p.y) for p in anat.posterior_wall.points]
+    palate = anat.palate.xy.tolist()
+    extension = anat.extended_palate.xy[len(palate) - 1 :].tolist()
+    anterior = anat.anterior_wall.xy.tolist()
+    posterior = anat.posterior_wall.xy.tolist()
     center = (anat.reference_center.x, anat.reference_center.y)
 
     everything = palate + extension + anterior + posterior + [center]

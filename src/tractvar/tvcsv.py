@@ -30,7 +30,6 @@ import numpy as np
 
 from .anatomy import SpeakerAnatomy
 from .errors import ParseError, SchemaError
-from .geometry import Polyline
 from .tract_variables import QUALITIES, TV_NAMES, Quality, TvTrajectory
 
 TV_HEADER = ("t", *TV_NAMES, "quality")
@@ -258,20 +257,16 @@ def _read_tv_cells(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _trace_to_list(trace: Polyline) -> list[list[float]]:
-    return [[p.x, p.y] for p in trace.points]
-
-
 def write_anatomy_json(anat: SpeakerAnatomy, path: str | Path) -> None:
     """Write the derived anatomy bundle for one speaker."""
     payload = {
         "speaker_id": anat.speaker_id,
         "sex": anat.sex.value,
         "thickness_mm": anat.thickness_mm,
-        "palate": _trace_to_list(anat.palate),
-        "posterior_wall": _trace_to_list(anat.posterior_wall),
-        "anterior_wall": _trace_to_list(anat.anterior_wall),
-        "extended_palate": _trace_to_list(anat.extended_palate),
+        "palate": anat.palate.xy.tolist(),
+        "posterior_wall": anat.posterior_wall.xy.tolist(),
+        "anterior_wall": anat.anterior_wall.xy.tolist(),
+        "extended_palate": anat.extended_palate.xy.tolist(),
         "reference_center": [anat.reference_center.x, anat.reference_center.y],
     }
     with open_atomic(path) as fh:

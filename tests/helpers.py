@@ -33,6 +33,8 @@ from tractvar.geometry import Point2D, Polyline
 from tractvar.tract_variables import PELLET_NAMES, QUALITIES, TV_NAMES, PelletFrame
 from tractvar.tvcsv import read_tv_csv
 
+from reference import points, polyline
+
 PALATE_CENTER = (-30.0, -5.0)
 PALATE_RADIUS = 35.0
 ARC_START_DEG = 40.0
@@ -68,7 +70,7 @@ def brute_points_to_polyline(
     the whole sample cloud, no shared code with the library query.
     """
     best = np.full(xs.shape, np.inf)
-    pts = trace.points
+    pts = points(trace)
     for i in range(len(pts) - 1):
         ax, ay = pts[i].x, pts[i].y
         dx, dy = pts[i + 1].x - ax, pts[i + 1].y - ay
@@ -113,8 +115,8 @@ def reference_pellets() -> dict[str, tuple[float, float]]:
 
 
 def synthetic_anatomy(step_deg: float = ARC_STEP_DEG):
-    palate = Polyline(Point2D(x, y) for x, y in palate_coords(step_deg))
-    wall = Polyline(Point2D(x, y) for x, y in wall_coords())
+    palate = polyline(Point2D(x, y) for x, y in palate_coords(step_deg))
+    wall = polyline(Point2D(x, y) for x, y in wall_coords())
     return build_speaker_anatomy("synth", palate, wall, Sex.FEMALE)
 
 

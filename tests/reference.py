@@ -6,7 +6,8 @@ scalar IEEE operations in the same order, so the batched engine must
 match them bit for bit, raising the same `DegenerateAngle` wherever
 they raise one.  `nearest` is the point-at-a-time twin of
 `Polyline.nearest_many`, and `circle_polyline_clearance` the scalar
-twin of `circle_polyline_contacts`.  The helpers at the end build
+twin of `circle_polyline_contacts`.  `points` and `polyline` turn a
+trace's array into `Point2D`s and back.  The helpers at the end build
 trajectories from frames and write pellet files, which only tests need.
 """
 
@@ -29,7 +30,6 @@ from tractvar.geometry import (
     Circle,
     Point2D,
     Polyline,
-    distance,
 )
 from tractvar.ingest import PELLET_HEADER, PelletTrajectory
 from tractvar.tract_variables import (
@@ -63,11 +63,31 @@ class ClearanceResult:
     segment_index: int
 
 
+def distance(p: Point2D, q: Point2D) -> float:
+    """Euclidean distance between two points."""
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def coords(pts: Iterable[Point2D]) -> np.ndarray:
+    """The points as the (n, 2) array of (x, y) rows that `Polyline` and
+    `fit_circle` take."""
+    return np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2)
+
+
+def polyline(pts: Iterable[Point2D]) -> Polyline:
+    """The trace through the points, in order."""
+    return Polyline(coords(pts))
+
+
+def points(trace: Polyline) -> tuple[Point2D, ...]:
+    """The trace's points, rebuilt as `Point2D`s from its `.xy`."""
+    return tuple(Point2D(x, y) for x, y in trace.xy.tolist())
+
+
 @lru_cache(maxsize=16)
 def _segments(trace: Polyline) -> tuple[np.ndarray, ...]:
     """The per-segment arrays `Polyline` precomputes, built the same way."""
-    xs = np.array([p.x for p in trace.points], dtype=np.float64)
-    ys = np.array([p.y for p in trace.points], dtype=np.float64)
+    xs, ys = trace.xy.T.copy()
     ax = xs[:-1]
     ay = ys[:-1]
     dx = np.diff(xs)

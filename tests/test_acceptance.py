@@ -22,7 +22,6 @@ from tractvar.cli import main
 from tractvar.compare import compare_tvs, format_table, ppmc
 from tractvar.geometry import (
     Point2D,
-    Polyline,
     circle_polyline_contacts,
     fit_circle,
 )
@@ -51,7 +50,14 @@ from helpers import (
     write_pellet_csv,
     write_speaker_fixture,
 )
-from reference import circumcircle, pellet_trajectory, tv_trajectory
+from reference import (
+    circumcircle,
+    coords,
+    pellet_trajectory,
+    points,
+    polyline,
+    tv_trajectory,
+)
 
 
 def tv_file_from_frames(path, n=40, negate=None):
@@ -107,7 +113,7 @@ def test_criterion_2_clearance_against_brute_oracle():
         pts = np.cumsum(steps, axis=0) + rng.uniform(-40.0, 40.0, size=2)
         if np.min(np.hypot(*np.diff(pts, axis=0).T)) < 0.5:
             continue
-        poly = Polyline(Point2D(float(x), float(y)) for x, y in pts)
+        poly = polyline(Point2D(float(x), float(y)) for x, y in pts)
         cx, cy = rng.uniform(-70.0, 70.0, size=2)
         radius = float(rng.uniform(0.5, 20.0))
         # Independent prefilter: exact center-to-polyline distance via
@@ -146,7 +152,7 @@ def test_criterion_3_circle_fit_recovery():
             Point2D(cx + radius * math.cos(a), cy + radius * math.sin(a))
             for a in angles
         ]
-        fitted = fit_circle(pts)
+        fitted = fit_circle(coords(pts))
         scale = max(1.0, radius)
         err = max(
             math.hypot(fitted.center.x - cx, fitted.center.y - cy),
@@ -167,7 +173,7 @@ def test_criterion_3_circle_fit_recovery():
             for a in (a0, a1, a2)
         ]
         direct = circumcircle(pts[0], pts[1], pts[2])
-        fitted = fit_circle(pts)
+        fitted = fit_circle(coords(pts))
         scale = max(1.0, direct.radius)
         err = max(
             math.hypot(
@@ -187,37 +193,37 @@ def test_criterion_4_anatomy_construction():
     # Vertical wall at x=-80 for a female speaker sits at exactly -74.2
     # after the shift; a palate ending (-20,15),(-25,14) meets it at
     # (-74.2, 4.16) within 1e-9 mm; the anatomy invariants all hold.
-    palate = Polyline(
+    palate = polyline(
         [Point2D(-15.0, 15.5), Point2D(-20.0, 15.0), Point2D(-25.0, 14.0)]
     )
-    wall = Polyline(Point2D(x, y) for x, y in wall_coords())
+    wall = polyline(Point2D(x, y) for x, y in wall_coords())
     anat = build_speaker_anatomy("worked", palate, wall, Sex.FEMALE)
 
-    for p in anat.anterior_wall.points:
+    for p in points(anat.anterior_wall):
         assert p.x == -74.2
     junction = next(
-        p for p in anat.extended_palate.points if abs(p.x - (-74.2)) <= 1e-9
+        p for p in points(anat.extended_palate) if abs(p.x - (-74.2)) <= 1e-9
     )
     assert abs(junction.x - (-74.2)) <= 1e-9
     assert abs(junction.y - 4.16) <= 1e-9
 
     for bundle in (anat, synthetic_anatomy()):
-        n_post = len(bundle.posterior_wall.points)
-        assert len(bundle.anterior_wall.points) == n_post
-        for a, p in zip(bundle.anterior_wall.points, bundle.posterior_wall.points):
+        n_post = len(points(bundle.posterior_wall))
+        assert len(points(bundle.anterior_wall)) == n_post
+        for a, p in zip(points(bundle.anterior_wall), points(bundle.posterior_wall)):
             assert a.x == p.x + bundle.thickness_mm
             assert a.y == p.y
-        n_pal = len(bundle.palate.points)
-        assert bundle.extended_palate.points[:n_pal] == bundle.palate.points
+        n_pal = len(points(bundle.palate))
+        assert points(bundle.extended_palate)[:n_pal] == points(bundle.palate)
         retained = [
             w
-            for w in bundle.anterior_wall.points
-            if any(w == q for q in bundle.extended_palate.points)
+            for w in points(bundle.anterior_wall)
+            if any(w == q for q in points(bundle.extended_palate))
         ]
         assert retained
         lowest = min(retained, key=lambda p: p.y)
-        assert bundle.extended_palate.points[-1] == lowest
-        assert bundle.reference_center.y < min(p.y for p in bundle.palate.points)
+        assert points(bundle.extended_palate)[-1] == lowest
+        assert bundle.reference_center.y < min(p.y for p in points(bundle.palate))
     print("CRITERION 4: PASS (anterior wall x = -74.2 exactly; junction "
           "(-74.2, 4.16) within 1e-9 mm; anatomy invariants hold)")
 
@@ -329,11 +335,11 @@ def test_criterion_8_parallelism_determinism(tmp_path):
 
 
 def resample_polyline(poly, n):
-    xs = np.array([p.x for p in poly.points])
-    ys = np.array([p.y for p in poly.points])
+    xs = np.array([p.x for p in points(poly)])
+    ys = np.array([p.y for p in points(poly)])
     s = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(xs), np.diff(ys)))])
     stations = np.linspace(0.0, float(s[-1]), n)
-    return Polyline(
+    return polyline(
         Point2D(float(x), float(y))
         for x, y in zip(np.interp(stations, s, xs), np.interp(stations, s, ys))
     )
@@ -346,7 +352,7 @@ def test_criterion_9_throughput_budget():
     anat = dataclasses.replace(
         anat, extended_palate=resample_polyline(anat.extended_palate, 200)
     )
-    assert len(anat.extended_palate.points) == 200
+    assert len(points(anat.extended_palate)) == 200
 
     n = 87_000
     t = np.arange(n) / 145.0

@@ -28,7 +28,9 @@ from tractvar.errors import (
     DegenerateTrace,
     NoIntersection,
 )
-from tractvar.geometry import Point2D, Polyline, distance
+from tractvar.geometry import Point2D
+
+from reference import distance, points, polyline
 
 
 def P(x, y):
@@ -37,7 +39,7 @@ def P(x, y):
 
 def vertical_wall(x=-80.0, y_top=40.0, y_bottom=-40.0, step=5.0):
     ys = np.arange(y_top, y_bottom - step / 2, -step)
-    return Polyline([P(x, float(y)) for y in ys])
+    return polyline([P(x, float(y)) for y in ys])
 
 
 class TestSexDefaults:
@@ -55,18 +57,18 @@ class TestSexDefaults:
 class TestInferAnteriorWall:
     def test_female_shift_is_exact(self):
         anterior = infer_anterior_wall(vertical_wall(x=-80.0), FEMALE_THICKNESS_MM)
-        for p in anterior.points:
+        for p in points(anterior):
             assert p.x == -74.2
 
     def test_male_shift_is_exact(self):
         anterior = infer_anterior_wall(vertical_wall(x=-80.0), MALE_THICKNESS_MM)
-        for p in anterior.points:
+        for p in points(anterior):
             assert p.x == -74.4
 
     def test_pointwise_translation(self):
-        wall = Polyline([P(-80, 30), P(-79, 10), P(-81, -10)])
+        wall = polyline([P(-80, 30), P(-79, 10), P(-81, -10)])
         anterior = infer_anterior_wall(wall, 5.8)
-        for before, after in zip(wall.points, anterior.points):
+        for before, after in zip(points(wall), points(anterior)):
             assert after.x == before.x + 5.8
             assert after.y == before.y
 
@@ -80,89 +82,89 @@ class TestInferAnteriorWall:
 class TestExtendPalate:
     def test_junction_from_worked_example(self):
         # Ray through (-20, 15) -> (-25, 14) meets x = -74.2 at y = 4.16.
-        palate = Polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
+        palate = polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
         anterior = infer_anterior_wall(vertical_wall(x=-80.0), FEMALE_THICKNESS_MM)
         extended = extend_palate(palate, anterior)
         # The junction is the last point not on the wall suffix; on a
         # vertical wall every suffix point shares x = -74.2 too, so find
         # it as the first point reaching the wall x.
-        on_wall = [p for p in extended.points if abs(p.x - (-74.2)) < 1e-9]
+        on_wall = [p for p in points(extended) if abs(p.x - (-74.2)) < 1e-9]
         junction = on_wall[0]
         assert junction.x == pytest.approx(-74.2, abs=1e-9)
         assert junction.y == pytest.approx(4.16, abs=1e-9)
 
     def test_prefix_is_original_palate(self):
         anat = synthetic_anatomy()
-        n = len(anat.palate.points)
-        assert anat.extended_palate.points[:n] == anat.palate.points
+        n = len(points(anat.palate))
+        assert points(anat.extended_palate)[:n] == points(anat.palate)
 
     def test_velar_steps_at_most_one_mm(self):
         anat = synthetic_anatomy()
-        n = len(anat.palate.points)
+        n = len(points(anat.palate))
         suffix_start = None
-        for i, p in enumerate(anat.extended_palate.points):
+        for i, p in enumerate(points(anat.extended_palate)):
             if i >= n and any(
-                p == w for w in anat.anterior_wall.points
+                p == w for w in points(anat.anterior_wall)
             ):
                 suffix_start = i
                 break
         assert suffix_start is not None
-        velar = anat.extended_palate.points[n - 1 : suffix_start]
+        velar = points(anat.extended_palate)[n - 1 : suffix_start]
         for a, b in zip(velar, velar[1:]):
             step = distance(a, b)
             assert 0.0 < step <= 1.0 + 1e-12
 
     def test_x_non_increasing_through_velum(self):
         anat = synthetic_anatomy()
-        n = len(anat.palate.points)
-        wall_xs = {w.x for w in anat.anterior_wall.points}
+        n = len(points(anat.palate))
+        wall_xs = {w.x for w in points(anat.anterior_wall)}
         xs = []
-        for p in anat.extended_palate.points[n - 1 :]:
+        for p in points(anat.extended_palate)[n - 1 :]:
             xs.append(p.x)
-            if p.x in wall_xs and p in anat.anterior_wall.points:
+            if p.x in wall_xs and p in points(anat.anterior_wall):
                 break
         assert all(b <= a + 1e-12 for a, b in zip(xs, xs[1:]))
 
     def test_ends_at_most_inferior_retained_wall_point(self):
         anat = synthetic_anatomy()
-        last = anat.extended_palate.points[-1]
+        last = points(anat.extended_palate)[-1]
         inferior_wall = [
-            w for w in anat.anterior_wall.points if w.y < last.y + 1e-9
+            w for w in points(anat.anterior_wall) if w.y < last.y + 1e-9
         ]
-        assert last == anat.anterior_wall.points[-1]
+        assert last == points(anat.anterior_wall)[-1]
         assert all(w.y >= last.y for w in inferior_wall)
 
     def test_no_duplicate_points_at_seams(self):
         anat = synthetic_anatomy()
-        pts = anat.extended_palate.points
+        pts = points(anat.extended_palate)
         for a, b in zip(pts, pts[1:]):
             assert (a.x, a.y) != (b.x, b.y)
 
     def test_wall_with_nothing_below_junction(self):
-        palate = Polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
+        palate = polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
         # Anterior wall stops just under the junction height.
-        anterior = Polyline([P(-74.2, 40.0), P(-74.2, 4.16)])
+        anterior = polyline([P(-74.2, 40.0), P(-74.2, 4.16)])
         extended = extend_palate(palate, anterior)
-        last = extended.points[-1]
+        last = points(extended)[-1]
         assert last.x == pytest.approx(-74.2, abs=1e-9)
         assert last.y == pytest.approx(4.16, abs=1e-9)
 
     def test_junction_on_wall_within_tolerance(self):
         anat = synthetic_anatomy()
-        n = len(anat.palate.points)
-        for p in anat.extended_palate.points[n:]:
+        n = len(points(anat.palate))
+        for p in points(anat.extended_palate)[n:]:
             # Every extension point is on or anterior to the wall line.
             assert p.x >= WALL_X
 
     def test_rise_above_palate_rejected(self):
-        palate = Polyline([P(-10, 14), P(-20, 15), P(-25, 19)])
-        anterior = Polyline([P(-74.2, 70.0), P(-74.2, -40.0)])
+        palate = polyline([P(-10, 14), P(-20, 15), P(-25, 19)])
+        anterior = polyline([P(-74.2, 70.0), P(-74.2, -40.0)])
         with pytest.raises(AnatomyInconsistent):
             extend_palate(palate, anterior)
 
     def test_miss_is_no_intersection(self):
-        palate = Polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
-        anterior = Polyline([P(-74.2, 40.0), P(-74.2, 30.0)])
+        palate = polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
+        anterior = polyline([P(-74.2, 40.0), P(-74.2, 30.0)])
         with pytest.raises(NoIntersection):
             extend_palate(palate, anterior)
 
@@ -170,14 +172,14 @@ class TestExtendPalate:
 class TestPalatalReferenceCenter:
     def test_recovers_arc_center(self):
         pts = [P(*on_arc(ARC_START_DEG - k * 3.25)) for k in range(20)]
-        center = palatal_reference_center(Polyline(pts))
+        center = palatal_reference_center(polyline(pts))
         assert center.x == pytest.approx(PALATE_CENTER[0], abs=1e-6)
         assert center.y == pytest.approx(PALATE_CENTER[1], abs=1e-6)
 
     def test_collinear_palate_raises(self):
         pts = [P(-5.0 - 2.0 * k, 15.0 - 0.5 * k) for k in range(10)]
         with pytest.raises(CollinearPoints):
-            palatal_reference_center(Polyline(pts))
+            palatal_reference_center(polyline(pts))
 
 
 class TestBuildSpeakerAnatomy:
@@ -185,29 +187,29 @@ class TestBuildSpeakerAnatomy:
         anat = synthetic_anatomy()
         assert anat.speaker_id == "synth"
         assert anat.thickness_mm == FEMALE_THICKNESS_MM
-        for post, ant in zip(anat.posterior_wall.points, anat.anterior_wall.points):
+        for post, ant in zip(points(anat.posterior_wall), points(anat.anterior_wall)):
             assert ant.x == post.x + FEMALE_THICKNESS_MM
             assert ant.y == post.y
         assert anat.reference_center.x == pytest.approx(PALATE_CENTER[0], abs=1e-6)
         assert anat.reference_center.y == pytest.approx(PALATE_CENTER[1], abs=1e-6)
-        lowest_palate = min(p.y for p in anat.palate.points)
+        lowest_palate = min(p.y for p in points(anat.palate))
         assert anat.reference_center.y < lowest_palate
 
     def test_thickness_override_supersedes_sex(self):
-        palate = Polyline(
+        palate = polyline(
             [P(*on_arc(ARC_START_DEG - k * 0.5)) for k in range(131)]
         )
         wall = vertical_wall()
         anat = build_speaker_anatomy("s1", palate, wall, Sex.MALE, thickness_mm=7.5)
         assert anat.thickness_mm == 7.5
-        assert anat.anterior_wall.points[0].x == -80.0 + 7.5
+        assert points(anat.anterior_wall)[0].x == -80.0 + 7.5
 
     def test_upward_curving_palate_flagged(self):
         # A concave-up trace fits a circle whose center sits above it;
         # the reference-center sanity check must fire.  The message
         # leaves naming the speaker to the pipeline.
         xs = np.arange(-5.0, -46.0, -2.5)
-        palate = Polyline([P(float(x), 10.0 + 0.01 * (x + 25.0) ** 2) for x in xs])
+        palate = polyline([P(float(x), 10.0 + 0.01 * (x + 25.0) ** 2) for x in xs])
         wall = vertical_wall()
         with pytest.raises(AnatomyInconsistent, match="^palatal reference center "):
             build_speaker_anatomy("bad-speaker", palate, wall, Sex.FEMALE)
@@ -215,7 +217,7 @@ class TestBuildSpeakerAnatomy:
     def test_two_point_palate_is_degenerate_trace(self):
         # The soft-palate line through both points meets the wall, so
         # only the reference circle lacks points.
-        palate = Polyline([P(-10.0, 15.0), P(-40.0, 10.0)])
+        palate = polyline([P(-10.0, 15.0), P(-40.0, 10.0)])
         with pytest.raises(DegenerateTrace) as excinfo:
             build_speaker_anatomy("two", palate, vertical_wall(), Sex.FEMALE)
         assert str(excinfo.value) == (
@@ -223,7 +225,7 @@ class TestBuildSpeakerAnatomy:
         )
 
     def test_collinear_palate_names_speaker(self):
-        palate = Polyline([P(-5.0 - 2.0 * k, 15.0 - 0.1 * k) for k in range(10)])
+        palate = polyline([P(-5.0 - 2.0 * k, 15.0 - 0.1 * k) for k in range(10)])
         wall = vertical_wall()
         # The pipeline puts the speaker id in front; the message names
         # only the failure.

@@ -17,7 +17,6 @@ from tractvar.geometry import (
     Point2D,
     Polyline,
     circle_polyline_contacts,
-    distance,
     extend_line_to_polyline,
     fit_circle,
 )
@@ -27,8 +26,12 @@ from reference import (
     ClearanceResult,
     angle_from_reference,
     circumcircle,
+    coords,
+    distance,
     point_polyline_clearance,
     point_segment_distance,
+    points,
+    polyline,
 )
 
 
@@ -58,22 +61,28 @@ class TestCircle:
 class TestPolyline:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            Polyline([P(0, 0)])
+            polyline([P(0, 0)])
 
     def test_rejects_repeated_consecutive_points(self):
         with pytest.raises(ValueError):
-            Polyline([P(0, 0), P(0, 0), P(1, 1)])
+            polyline([P(0, 0), P(0, 0), P(1, 1)])
 
-    def test_equality_by_points(self):
-        a = Polyline([P(0, 0), P(1, 1)])
-        b = Polyline([P(0, 0), P(1, 1)])
-        assert a == b and hash(a) == hash(b)
+    def test_cannot_change_after_construction(self):
+        xy = np.array([[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        trace = Polyline(xy)
+        with pytest.raises(ValueError):
+            trace.xy[0, 0] = 5.0
+        px, py = np.array([0.0, 2.0]), np.array([0.0, 0.5])
+        before = [a.tolist() for a in trace.nearest_many(px, py)]
+        xy[:] = 7.0
+        assert trace.xy.tolist() == [[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]
+        assert [a.tolist() for a in trace.nearest_many(px, py)] == before
 
     def test_nearest_many_matches_point_reference(self):
         # Blocks of NEAREST_CHUNK points, a partial last block, and exact
         # ties between segments (grid points against a square wave).
         rng = np.random.default_rng(406)
-        trace = Polyline([P(-1, 1), P(1, 1), P(1, -1), P(3, -1), P(3, 1)])
+        trace = polyline([P(-1, 1), P(1, 1), P(1, -1), P(3, -1), P(3, 1)])
         px = np.concatenate([rng.uniform(-4, 6, 150), np.arange(-2.0, 5.0)])
         py = np.concatenate([rng.uniform(-4, 4, 150), np.zeros(7)])
         got = zip(*(a.tolist() for a in trace.nearest_many(px, py)))
@@ -129,7 +138,7 @@ class TestPointSegmentDistance:
 
 class TestPointPolylineClearance:
     def test_simple_corridor(self):
-        trace = Polyline([P(-10, 8), P(10, 8)])
+        trace = polyline([P(-10, 8), P(10, 8)])
         res = point_polyline_clearance(P(0, 0), trace)
         assert res.distance == 8.0
         assert (res.closest_trace_point.x, res.closest_trace_point.y) == (0.0, 8.0)
@@ -137,13 +146,13 @@ class TestPointPolylineClearance:
         assert res.segment_index == 0
 
     def test_vertex_coincidence_is_zero(self):
-        trace = Polyline([P(-1, 0), P(0, 1), P(1, 0)])
+        trace = polyline([P(-1, 0), P(0, 1), P(1, 0)])
         res = point_polyline_clearance(P(0, 1), trace)
         assert res.distance == 0.0
 
     def test_tie_breaks_to_lowest_segment(self):
         # (0, 0) is exactly 1.0 from both the top and the right segment.
-        trace = Polyline([P(-1, 1), P(1, 1), P(1, -1)])
+        trace = polyline([P(-1, 1), P(1, 1), P(1, -1)])
         res = point_polyline_clearance(P(0, 0), trace)
         assert res.distance == 1.0
         assert res.segment_index == 0
@@ -160,7 +169,7 @@ class TestPointPolylineClearance:
                 y = rng.uniform(-20, 20)
                 pts.append(P(x, y))
                 x += rng.uniform(0.3, 4.0)
-            trace = Polyline(pts)
+            trace = polyline(pts)
             q = P(rng.uniform(-50, 10), rng.uniform(-30, 30))
             res = point_polyline_clearance(q, trace)
             best = min(
@@ -171,12 +180,12 @@ class TestPointPolylineClearance:
 
     def test_closest_point_lies_on_named_segment(self):
         rng = np.random.default_rng(405)
-        trace = Polyline([P(-30, 5), P(-20, 9), P(-10, 4), P(0, 7)])
+        trace = polyline([P(-30, 5), P(-20, 9), P(-10, 4), P(0, 7)])
         for _ in range(200):
             q = P(rng.uniform(-35, 5), rng.uniform(-10, 20))
             res = point_polyline_clearance(q, trace)
-            a = trace.points[res.segment_index]
-            b = trace.points[res.segment_index + 1]
+            a = points(trace)[res.segment_index]
+            b = points(trace)[res.segment_index + 1]
             d, _ = point_segment_distance(res.closest_trace_point, a, b)
             assert d <= 1e-9
 
@@ -243,14 +252,14 @@ class TestFitCircle:
     def test_exact_on_noiseless_circle(self):
         angles = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
         pts = [P(3.0 + 5.0 * math.cos(a), -2.0 + 5.0 * math.sin(a)) for a in angles]
-        c = fit_circle(pts)
+        c = fit_circle(coords(pts))
         assert c.center.x == pytest.approx(3.0, abs=1e-9)
         assert c.center.y == pytest.approx(-2.0, abs=1e-9)
         assert c.radius == pytest.approx(5.0, abs=1e-9)
 
     def test_three_points_match_circumcircle(self):
         tri = [P(-10, 8), P(-20, 12), P(-30, 8)]
-        fitted = fit_circle(tri)
+        fitted = fit_circle(coords(tri))
         direct = circumcircle(*tri)
         assert fitted.center.x == pytest.approx(direct.center.x, abs=1e-9)
         assert fitted.center.y == pytest.approx(direct.center.y, abs=1e-9)
@@ -259,11 +268,11 @@ class TestFitCircle:
     def test_collinear_spread_raises(self):
         pts = [P(float(k), 2.0 * k - 7.0) for k in range(12)]
         with pytest.raises(CollinearPoints):
-            fit_circle(pts)
+            fit_circle(coords(pts))
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            fit_circle([P(0, 0), P(1, 0)])
+            fit_circle(coords([P(0, 0), P(1, 0)]))
 
     def test_symmetric_noise_against_grid_search_oracle(self):
         # Independent oracle: brute grid over candidate centers, radius
@@ -274,7 +283,7 @@ class TestFitCircle:
         radii = 5.0 + eps * np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
         xs = 3.0 + radii * np.cos(angles)
         ys = -2.0 + radii * np.sin(angles)
-        fitted = fit_circle([P(float(x), float(y)) for x, y in zip(xs, ys)])
+        fitted = fit_circle(coords([P(float(x), float(y)) for x, y in zip(xs, ys)]))
 
         best = (math.inf, None, None)
         for cx in np.linspace(3.0 - 0.05, 3.0 + 0.05, 51):
@@ -301,7 +310,7 @@ class TestFitCircle:
                 P(cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles
             ]
             try:
-                c = fit_circle(pts)
+                c = fit_circle(coords(pts))
             except CollinearPoints:
                 continue
             scale = max(1.0, r)
@@ -332,7 +341,7 @@ class TestCirclePolylineClearance:
         # One batched call over 300 circles, so that the contacts cross
         # several NEAREST_CHUNK blocks, against the scalar twin per circle.
         rng = np.random.default_rng(34)
-        trace = Polyline([P(-30, 10), P(-15, 14), P(0, 9), P(10, 12)])
+        trace = polyline([P(-30, 10), P(-15, 14), P(0, 9), P(10, 12)])
         circles = [
             Circle(P(rng.uniform(-35, 15), rng.uniform(-10, 25)), rng.uniform(0.5, 8))
             for _ in range(300)
@@ -357,7 +366,7 @@ class TestCirclePolylineClearance:
         # The kernel does not raise; it reports a center distance below
         # MIN_ANGLE_RADIUS, which `compute_trajectory` turns into the
         # reference's DegenerateAngle (test_tract_variables pins that).
-        trace = Polyline([P(-10, 8), P(10, 8)])
+        trace = polyline([P(-10, 8), P(10, 8)])
         circle = Circle(P(2.5, 8), 1.0)
         with pytest.raises(DegenerateAngle):
             reference.circle_polyline_clearance(circle, trace)
@@ -369,7 +378,7 @@ class TestCirclePolylineClearance:
 
     def test_gap_above(self):
         circle = Circle(P(0, 0), 5.0)
-        trace = Polyline([P(-10, 8), P(10, 8)])
+        trace = polyline([P(-10, 8), P(10, 8)])
         res = circle_polyline_clearance(circle, trace)
         assert res.distance == 3.0
         assert (res.closest_trace_point.x, res.closest_trace_point.y) == (0.0, 8.0)
@@ -377,13 +386,13 @@ class TestCirclePolylineClearance:
 
     def test_penetration_is_negative(self):
         circle = Circle(P(0, 0), 5.0)
-        trace = Polyline([P(-10, 3), P(10, 3)])
+        trace = polyline([P(-10, 3), P(10, 3)])
         res = circle_polyline_clearance(circle, trace)
         assert res.distance == -2.0
 
     def test_boundary_point_on_circle(self):
         rng = np.random.default_rng(31)
-        trace = Polyline([P(-30, 10), P(-15, 14), P(0, 9), P(10, 12)])
+        trace = polyline([P(-30, 10), P(-15, 14), P(0, 9), P(10, 12)])
         for _ in range(200):
             c = Circle(P(rng.uniform(-25, 5), rng.uniform(-10, 4)), rng.uniform(1, 6))
             res = circle_polyline_clearance(c, trace)
@@ -393,7 +402,7 @@ class TestCirclePolylineClearance:
 
     def test_sign_matches_penetration_predicate(self):
         rng = np.random.default_rng(32)
-        trace = Polyline([P(-20, 6), P(-10, 9), P(0, 5), P(10, 8)])
+        trace = polyline([P(-20, 6), P(-10, 9), P(0, 5), P(10, 8)])
         for _ in range(300):
             c = Circle(P(rng.uniform(-25, 15), rng.uniform(-5, 15)), rng.uniform(0.5, 8))
             res = circle_polyline_clearance(c, trace)
@@ -412,7 +421,7 @@ class TestCirclePolylineClearance:
         rng = np.random.default_rng(33)
         angles = np.linspace(0, 2 * math.pi, 20000, endpoint=False)
         for _ in range(50):
-            trace = Polyline(
+            trace = polyline(
                 [
                     P(rng.uniform(-30, -20), rng.uniform(10, 14)),
                     P(rng.uniform(-18, -8), rng.uniform(9, 15)),
@@ -434,53 +443,54 @@ class TestExtendLineToPolyline:
     def test_vertical_wall_example(self):
         # Ray through (-20, 15) and (-25, 14) reaches x = -74.2 at
         # t = 9.84, hence y = 14 - 9.84 = 4.16.
-        wall = Polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
-        hit, idx = extend_line_to_polyline(P(-20, 15), P(-25, 14), wall)
-        assert hit.x == pytest.approx(-74.2, abs=1e-9)
-        assert hit.y == pytest.approx(4.16, abs=1e-9)
+        wall = polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
+        hit, idx = extend_line_to_polyline((-20, 15), (-25, 14), wall)
+        assert hit[0] == pytest.approx(-74.2, abs=1e-9)
+        assert hit[1] == pytest.approx(4.16, abs=1e-9)
         assert idx == 0
 
     def test_start_point_on_wall(self):
-        wall = Polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
-        hit, _ = extend_line_to_polyline(P(-70, 10), P(-74.2, 9.0), wall)
-        assert hit.x == pytest.approx(-74.2, abs=1e-12)
-        assert hit.y == pytest.approx(9.0, abs=1e-12)
+        wall = polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
+        hit, _ = extend_line_to_polyline((-70, 10), (-74.2, 9.0), wall)
+        assert hit[0] == pytest.approx(-74.2, abs=1e-12)
+        assert hit[1] == pytest.approx(9.0, abs=1e-12)
 
     def test_parallel_misses(self):
-        wall = Polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
+        wall = polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
         with pytest.raises(NoIntersection):
-            extend_line_to_polyline(P(-20, 15), P(-20, 10), wall)
+            extend_line_to_polyline((-20, 15), (-20, 10), wall)
 
     def test_behind_ray_misses(self):
-        wall = Polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
+        wall = polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
         with pytest.raises(NoIntersection):
-            extend_line_to_polyline(P(-25, 14), P(-20, 15), wall)
+            extend_line_to_polyline((-25, 14), (-20, 15), wall)
 
     def test_coincident_endpoints_rejected(self):
-        wall = Polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
+        wall = polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
         with pytest.raises(ValueError):
-            extend_line_to_polyline(P(-20, 15), P(-20, 15), wall)
+            extend_line_to_polyline((-20, 15), (-20, 15), wall)
 
     def test_first_hit_wins(self):
         # Two crossings; the nearer one along the ray must win.
-        wall = Polyline([P(-40, 20), P(-40, -20), P(-60, -20), P(-60, 20)])
-        hit, idx = extend_line_to_polyline(P(-10, 0), P(-20, 0), wall)
-        assert hit.x == pytest.approx(-40.0, abs=1e-12)
+        wall = polyline([P(-40, 20), P(-40, -20), P(-60, -20), P(-60, 20)])
+        hit, idx = extend_line_to_polyline((-10, 0), (-20, 0), wall)
+        assert hit[0] == pytest.approx(-40.0, abs=1e-12)
         assert idx == 0
 
     def test_residuals_random(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             ys = np.sort(rng.uniform(-40, 40, 5))[::-1]
-            wall = Polyline([P(float(-70 + rng.uniform(-2, 2)), float(y)) for y in ys])
+            wall = polyline([P(float(-70 + rng.uniform(-2, 2)), float(y)) for y in ys])
             a = P(rng.uniform(-20, -10), rng.uniform(0, 20))
             target_y = rng.uniform(float(ys[-1]) + 1, float(ys[0]) - 1)
             inner = P(rng.uniform(-45, -30), target_y)
             try:
-                hit, idx = extend_line_to_polyline(a, inner, wall)
+                hit, idx = extend_line_to_polyline((a.x, a.y), (inner.x, inner.y), wall)
             except NoIntersection:
                 continue
-            w1, w2 = wall.points[idx], wall.points[idx + 1]
+            hit = P(*hit)
+            w1, w2 = points(wall)[idx], points(wall)[idx + 1]
             d_wall, _ = point_segment_distance(hit, w1, w2)
             assert d_wall <= 1e-9
             # On the ray: collinear with (a -> inner) and not behind it.

@@ -33,7 +33,7 @@ from tractvar.ingest import (
 )
 from tractvar.tract_variables import PELLET_NAMES
 
-from reference import pellet_trajectory, write_pellet_file
+from reference import pellet_trajectory, points, write_pellet_file
 
 from helpers import (
     make_frame,
@@ -451,7 +451,7 @@ class TestParseTraceFile:
         path = tmp_path / "pal.csv"
         write_trace_csv(path, palate_coords())
         trace = parse_trace_file(path, "palate")
-        xs = [p.x for p in trace.points]
+        xs = [p.x for p in points(trace)]
         assert xs == sorted(xs, reverse=True)
 
     def test_ascending_palate_reversed_with_warning(self, tmp_path, caplog):
@@ -461,15 +461,15 @@ class TestParseTraceFile:
             trace = parse_trace_file(path, "palate")
         assert any("reversed" in rec.message for rec in caplog.records)
         expect = parse_trace_file(tmp_path / "pal.csv", "palate")
-        assert trace.points == expect.points
-        assert trace.points[0].x > trace.points[-1].x
+        assert points(trace) == points(expect)
+        assert points(trace)[0].x > points(trace)[-1].x
 
     def test_ascending_wall_reversed(self, tmp_path, caplog):
         path = tmp_path / "wall.csv"
         write_trace_csv(path, list(reversed(wall_coords())))
         with caplog.at_level(logging.WARNING, logger="tractvar.ingest"):
             trace = parse_trace_file(path, "wall")
-        assert trace.points[0].y > trace.points[-1].y
+        assert points(trace)[0].y > points(trace)[-1].y
         assert any("reversed" in rec.message for rec in caplog.records)
 
     def test_canonical_wall_untouched(self, tmp_path, caplog):
@@ -478,7 +478,7 @@ class TestParseTraceFile:
         with caplog.at_level(logging.WARNING, logger="tractvar.ingest"):
             trace = parse_trace_file(path, "wall")
         assert not caplog.records
-        assert [(p.x, p.y) for p in trace.points] == wall_coords()
+        assert [(p.x, p.y) for p in points(trace)] == wall_coords()
 
     def test_duplicate_points_collapsed_with_warning(self, tmp_path, caplog):
         coords = palate_coords()
@@ -487,7 +487,7 @@ class TestParseTraceFile:
         write_trace_csv(path, doubled)
         with caplog.at_level(logging.WARNING, logger="tractvar.ingest"):
             trace = parse_trace_file(path, "palate")
-        assert len(trace.points) == len(coords)
+        assert len(points(trace)) == len(coords)
         assert any("2 repeated" in rec.message for rec in caplog.records)
 
     def test_all_identical_points_degenerate(self, tmp_path):

@@ -31,6 +31,7 @@ from reference import (
     fallback_tongue_body_tvs,
     pellet_trajectory,
     point_polyline_clearance,
+    polyline,
     tongue_body_circle,
 )
 from tractvar.anatomy import Sex, build_speaker_anatomy
@@ -308,7 +309,7 @@ class TestBatchedMatchesScalar:
         # T2, T3 and T4 all sit exactly 10 mm below a flat palate.
         flat = dataclasses.replace(
             anatomy,
-            extended_palate=Polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
+            extended_palate=polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
         )
         coords = collinear_tongue(reference_pellets())
         batched = assert_matches_scalar(trajectory_of([make_frame(0.0, coords)]), flat)
@@ -362,7 +363,7 @@ ON_CENTER = "point (-20.0, 10.0) coincides with the reference center"
 def flat_anatomy(anatomy):
     return dataclasses.replace(
         anatomy,
-        extended_palate=Polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
+        extended_palate=polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
         reference_center=Point2D(-20.0, 10.0),
     )
 
@@ -542,8 +543,8 @@ def session_trajectory(n=240, seed=11):
 
 def shifted_anatomy(dx, dy):
     """The synthetic speaker with palate and wall moved by (dx, dy)."""
-    palate = Polyline(Point2D(x + dx, y + dy) for x, y in palate_coords())
-    wall = Polyline(Point2D(x + dx, y + dy) for x, y in wall_coords())
+    palate = Polyline(np.array(palate_coords()) + (dx, dy))
+    wall = Polyline(np.array(wall_coords()) + (dx, dy))
     return build_speaker_anatomy("synth", palate, wall, Sex.FEMALE)
 
 

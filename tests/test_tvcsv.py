@@ -19,6 +19,8 @@ from tractvar.tvcsv import (
     write_tv_csv,
 )
 
+from reference import points
+
 OK = QUALITIES.index(Quality.OK)
 MISSING = QUALITIES.index(Quality.MISSING_PELLET)
 DEGENERATE = QUALITIES.index(Quality.DEGENERATE_TONGUE)
@@ -278,7 +280,7 @@ ROW_READERS = {
         ("header does not match the TV schema",) * 2,
     ),
     "trace": (
-        lambda path: parse_trace_file(path, "palate").points,
+        lambda path: points(parse_trace_file(path, "palate")),
         TRACE_HEADER,
         lambda k: f"{-10.0 - k!r},{5.0 - k!r}",
         ("trace header must be 'x,y'",) * 2,
