@@ -63,11 +63,16 @@ class _OneLineFormatter(logging.Formatter):
 
 
 def _setup_logging() -> None:
+    """Set the root level from TRACTVAR_LOG, on every call.  A stderr
+    handler is added only to a root logger without one, so that a second
+    call adds no duplicate and an embedding program's handlers stay."""
     name = os.environ.get("TRACTVAR_LOG", "warn").strip().lower()
-    level = _LOG_LEVELS.get(name, logging.WARNING)
-    handler = logging.StreamHandler()
-    handler.setFormatter(_OneLineFormatter(LOG_FORMAT))
-    logging.basicConfig(level=level, handlers=[handler])
+    root = logging.getLogger()
+    root.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
+    if not root.handlers:
+        handler = logging.StreamHandler()
+        handler.setFormatter(_OneLineFormatter(LOG_FORMAT))
+        root.addHandler(handler)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -209,18 +209,21 @@ def _spread_twice_area(xs: np.ndarray, ys: np.ndarray) -> float:
     Twice the area of the extent-by-deviation box: the spread along the
     principal direction times the largest perpendicular deviation.  Zero
     for exactly collinear sets; comparable to the twice-triangle-area
-    test for triples.
+    test for triples.  The principal direction of the 2x2 scatter
+    matrix is taken in closed form; it is arbitrary only for an
+    isotropic scatter, where any direction gives a box of the same
+    order.
     """
     u = xs - xs.mean()
     v = ys - ys.mean()
-    scatter = np.array(
-        [[np.dot(u, u), np.dot(u, v)], [np.dot(u, v), np.dot(v, v)]]
-    )
-    _, vecs = np.linalg.eigh(scatter)
-    main = vecs[:, 1]
-    perp = vecs[:, 0]
-    along = u * main[0] + v * main[1]
-    dev = u * perp[0] + v * perp[1]
+    suu = float(np.dot(u, u))
+    svv = float(np.dot(v, v))
+    suv = float(np.dot(u, v))
+    theta = 0.5 * math.atan2(2.0 * suv, suu - svv)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    along = u * c + v * s
+    dev = v * c - u * s
     extent = float(along.max() - along.min())
     return extent * float(np.abs(dev).max())
 

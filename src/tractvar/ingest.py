@@ -162,7 +162,7 @@ def parse_pellet_file(path: str | Path) -> tuple[PelletTrajectory, IngestReport]
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        table = load_plain_table(fh.read(), _PELLET_HEADER_LINE, len(PELLET_HEADER))
+        table = load_plain_table(fh, _PELLET_HEADER_LINE, len(PELLET_HEADER))
     # Whatever the fast path cannot take, or takes but finds bad, is read
     # cell by cell, which raises for the first bad cell in file order.
     if (
@@ -176,7 +176,9 @@ def parse_pellet_file(path: str | Path) -> tuple[PelletTrajectory, IngestReport]
         raise ParseError(f"need at least 2 rows, got {n}", path)
     t = table[:, 0]
     xy = table[:, 1:].reshape(n, len(PELLET_NAMES), 2)
-    valid = (np.abs(xy) < SENTINEL_MAGNITUDE).all(axis=2)
+    # Two comparisons rather than `abs`, which would make a float copy of
+    # `xy`; the same test, since every value is finite.
+    valid = ((xy < SENTINEL_MAGNITUDE) & (xy > -SENTINEL_MAGNITUDE)).all(axis=2)
     span = float(t[-1]) - float(t[0])
     if not math.isfinite((n - 1) / span):
         raise ParseError(

@@ -170,6 +170,7 @@ def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> s
     """Process one utterance and return its info line."""
     trajectory, report = parse_pellet_file(path)
     uniform = resample(trajectory, config.target_rate, report)
+    del trajectory  # the full-rate take need not outlive its resampling
     tvs = compute_trajectory(uniform, anat, clamp_tbcd=config.clamp_tbcd)
     out_csv, out_svg = _utterance_outputs(path, config.output_dir)
     write_tv_csv(tvs, out_csv, degrees=config.degrees)

@@ -176,6 +176,15 @@ def wobbled_pellets(phase: float, amp: float = 0.8) -> dict[str, tuple[float, fl
     return coords
 
 
+def write_take(path: Path, n_frames: int, rate: float = 400.0) -> None:
+    """Write a plain pellet file (no quoting, padding or sentinel) of
+    `n_frames` wobbled samples at `rate` Hz, one wobble a second."""
+    write_pellet_csv(
+        path,
+        [(k / rate, wobbled_pellets(2.0 * math.pi * k / rate)) for k in range(n_frames)],
+    )
+
+
 def write_speaker_fixture(
     root: Path,
     n_frames: int = 30,

@@ -6,9 +6,11 @@ scalar IEEE operations in the same order, so the batched engine must
 match them bit for bit, raising the same `DegenerateAngle` wherever
 they raise one.  `nearest` is the point-at-a-time twin of
 `Polyline.nearest_many`, and `circle_polyline_clearance` the scalar
-twin of `circle_polyline_contacts`.  `points` and `polyline` turn a
-trace's array into `Point2D`s and back.  The helpers at the end build
-trajectories from frames and write pellet files, which only tests need.
+twin of `circle_polyline_contacts`, and `spread_twice_area` the
+eigensolver twin of `fit_circle`'s collinearity measure.  `points` and
+`polyline` turn a trace's array into `Point2D`s and back.  The helpers
+at the end build trajectories from frames and write pellet files, which
+only tests need.
 """
 
 from __future__ import annotations
@@ -198,6 +200,23 @@ def circumcircle(a: Point2D, b: Point2D, c: Point2D) -> Circle:
     uy = (abx * ac2 - acx * ab2) * inv
     center = Point2D(a.x + ux, a.y + uy)
     return Circle(center, math.hypot(ux, uy))
+
+
+def spread_twice_area(xs: np.ndarray, ys: np.ndarray) -> float:
+    """`geometry._spread_twice_area` with the principal axis and its
+    normal taken from `np.linalg.eigh` of the 2x2 scatter matrix."""
+    u = xs - xs.mean()
+    v = ys - ys.mean()
+    scatter = np.array(
+        [[np.dot(u, u), np.dot(u, v)], [np.dot(u, v), np.dot(v, v)]]
+    )
+    _, vecs = np.linalg.eigh(scatter)
+    main = vecs[:, 1]
+    perp = vecs[:, 0]
+    along = u * main[0] + v * main[1]
+    dev = u * perp[0] + v * perp[1]
+    extent = float(along.max() - along.min())
+    return extent * float(np.abs(dev).max())
 
 
 def angle_from_reference(center: Point2D, p: Point2D) -> float:

@@ -1365,6 +1365,24 @@ class TestOneLineLogs:
             f"ordered by ascending x; reversed on load\n"
         ))
 
+    def test_each_call_reads_the_log_level(self, tmp_path):
+        # Two calls of `main` in one interpreter, at `error` and then at
+        # `warn`: the second call prints its warning, once.
+        root, manifest, shown = self.fixture(tmp_path)
+        write_trace_csv(root / "palate.csv", palate_coords()[::-1])
+        script = (
+            "import os, sys\n"
+            "from tractvar.cli import main\n"
+            "for level, out in zip(('error', 'warn'), sys.argv[2:]):\n"
+            "    os.environ['TRACTVAR_LOG'] = level\n"
+            "    assert main(['anatomy', '--manifest', sys.argv[1], '--out', out]) == 0\n"
+        )
+        proc = run_python("-c", script, manifest, tmp_path / "a", tmp_path / "b")
+        assert (proc.returncode, proc.stderr) == (0, (
+            f"WARNING tractvar.ingest: {shown}/palate.csv: palate trace was "
+            f"ordered by ascending x; reversed on load\n"
+        ))
+
 
 class TestArgParsing:
     def test_no_subcommand_exits(self):

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from tractvar import geometry
 from tractvar.errors import (
     CollinearPoints,
     DegenerateAngle,
@@ -269,6 +271,48 @@ class TestFitCircle:
         pts = [P(float(k), 2.0 * k - 7.0) for k in range(12)]
         with pytest.raises(CollinearPoints):
             fit_circle(coords(pts))
+
+    @pytest.mark.parametrize("dx, dy", [(1, 0), (0, 1), (1, 1), (3, 7)])
+    def test_exactly_collinear_raises(self, dx, dy):
+        # Along 0, 90 and 45 degrees and an integer direction; every
+        # coordinate is an integer, so the points are exactly collinear.
+        pts = [P(-40.0 + dx * k, 12.0 + dy * k) for k in range(12)]
+        with pytest.raises(CollinearPoints):
+            fit_circle(coords(pts))
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-200.0, 200.0, allow_subnormal=False),
+                st.floats(-200.0, 200.0, allow_subnormal=False),
+            ),
+            min_size=3,
+            max_size=12,
+        )
+    )
+    def test_spread_matches_the_eigensolver(self, pts):
+        """The closed-form principal axis gives the `np.linalg.eigh`
+        oracle's collinearity measure within 1e-12 relative wherever the
+        scatter's eigenvalues are distinct.  At the isotropic tie, equal
+        eigenvalues, every direction is principal and the two may take
+        different ones (a square's box is 2 along a side and 4 along a
+        diagonal), so sets within 1e-3 of the tie are skipped.  For flat
+        sets, whose deviations are rounding error, the measure agrees to
+        1e-12 of the larger eigenvalue, far below TOL_COLLINEAR."""
+        xs, ys = np.array(pts).T.copy()
+        u = xs - xs.mean()
+        v = ys - ys.mean()
+        lo, hi = np.linalg.eigvalsh(
+            [[np.dot(u, u), np.dot(u, v)], [np.dot(u, v), np.dot(v, v)]]
+        )
+        assume(hi - lo > 1e-3 * hi)
+        got = geometry._spread_twice_area(xs, ys)
+        want = reference.spread_twice_area(xs, ys)
+        if lo >= 1e-6 * hi:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:
+            assert abs(got - want) <= 1e-12 * hi
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):

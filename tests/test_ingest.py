@@ -4,6 +4,7 @@ import bisect
 import json
 import logging
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -20,7 +21,7 @@ from tractvar.errors import (
     SchemaError,
     TractvarError,
 )
-from tractvar import ingest
+from tractvar import ingest, tvcsv
 from tractvar.ingest import (
     PELLET_HEADER,
     SENTINEL_MAGNITUDE,
@@ -42,6 +43,7 @@ from helpers import (
     wall_coords,
     wobbled_pellets,
     write_pellet_csv,
+    write_take,
     write_trace_csv,
 )
 
@@ -385,18 +387,47 @@ class TestPelletFastPath:
         assert pellet_outcome(path) == expected
         assert expected[0] == "ok" and expected[-1].frames_read == 40
 
+    def test_holds_a_take_about_once(self, tmp_path):
+        # The traced peak of a parse, against the bytes of what it returns.
+        # A copy of this file's bytes alone is 1.6 times those, and a float
+        # temporary the size of `xy` 0.9 times.
+        path = tmp_path / "take.csv"
+        write_take(path, 8_000)
+        parse_pellet_file(path)  # first-call costs are not the take's
+        tracemalloc.start()
+        try:
+            traj, _ = parse_pellet_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (traj.t.nbytes + traj.xy.nbytes + traj.valid.nbytes)
+
     @pytest.mark.parametrize("token", PELLET_TOKENS)
-    def test_each_token_agrees_with_the_per_cell_reference(self, tmp_path, token):
-        # Every token alone, in the time column and in a coordinate column.
-        for field in (0, 5):
-            path = tmp_path / "utt.csv"
+    def test_each_token_agrees_with_the_per_cell_reference(
+        self, tmp_path, monkeypatch, token
+    ):
+        # Every token alone: in the time column, in a coordinate column, and
+        # as the last cell of a file without a final newline, where its last
+        # byte is the file's.  A token holding a byte the fast path does not
+        # take is read again with that byte first, and then last, in a block.
+        path = tmp_path / "utt.csv"
+        for row, field, end in ((2, 0, "\r\n"), (2, 5, "\r\n"), (4, 16, "")):
             write_pellet_csv(path, pellet_rows(4))
             lines = path.read_text().splitlines()
-            mutate_pellet_lines(lines, 2, ("token", field, token))
-            path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+            mutate_pellet_lines(lines, row, ("token", field, token))
+            data = ("\r\n".join(lines) + end).encode("utf-8")
+            path.write_bytes(data)
             with patch.object(ingest, "load_plain_table", return_value=None):
                 expected = pellet_outcome(path)
             assert pellet_outcome(path) == expected
+            body = data.index(b"\n") + 1
+            odd = [k - body for k in range(body, len(data))
+                   if data[k] not in tvcsv._PLAIN_BYTES]
+            if odd:
+                for block in (odd[0], odd[0] + 1):
+                    monkeypatch.setattr(tvcsv, "_BLOCK_BYTES", block)
+                    assert pellet_outcome(path) == expected
+                monkeypatch.undo()
 
     @settings(
         max_examples=400,
@@ -428,9 +459,10 @@ class TestPelletFastPath:
         assert pellet_outcome(path) == expected
         if not edits and newline != "\r":
             # Only files with bare-CR line ends leave the fast path unedited.
-            table = ingest.load_plain_table(
-                path.read_bytes(), ",".join(PELLET_HEADER).encode(), len(PELLET_HEADER)
-            )
+            with open(path, "rb") as fh:
+                table = ingest.load_plain_table(
+                    fh, ",".join(PELLET_HEADER).encode(), len(PELLET_HEADER)
+                )
             assert table is not None
 
 

@@ -15,6 +15,7 @@ from tractvar.tvcsv import (
     TV_HEADER,
     _parse_regular_tv,
     _read_tv_cells,
+    load_plain_table,
     read_tv_csv,
     write_tv_csv,
 )
@@ -291,7 +292,8 @@ ROW_READERS = {
 @pytest.mark.parametrize(
     "case",
     ["empty", "swapped header", "renamed header", "short row", "long row",
-     "blank lines", "short row after blank lines", "not UTF-8"],
+     "blank lines", "short row after blank lines", "not UTF-8",
+     "no final newline", "only blank lines"],
 )
 @pytest.mark.parametrize("reader", ROW_READERS)
 def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
@@ -316,12 +318,33 @@ def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
         lines.append("")
     if case == "short row after blank lines":
         lines[4] = lines[4].rsplit(",", 1)[0]
+    elif case == "only blank lines":
+        lines[1:] = ["", ""]
     data = ("\n".join(lines) + "\n").encode()
     if case == "empty":
         data = b""
     elif case == "not UTF-8":
         data = data[:-1] + b"\xff\n"
+    elif case == "no final newline":
+        data = data[:-1]
     path.write_bytes(data)
+    if case == "only blank lines":
+        # The fast path declines without asking loadtxt, which would warn
+        # (an error here) about empty input, and the file reads as its
+        # header alone does.
+        with open(path, "rb") as fh:
+            assert load_plain_table(fh, lines[0].encode(), width) is None
+
+        def result():
+            try:
+                return read(path)
+            except TractvarError as exc:
+                return type(exc), str(exc)
+
+        blank = result()
+        path.write_text(lines[0] + "\n")
+        assert blank == result()
+        return
     expected = {
         "empty": (SchemaError, f"{path}: empty file"),
         "swapped header": (SchemaError, f"{path}: {swapped}"),
@@ -333,7 +356,7 @@ def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
         ),
         "not UTF-8": (ParseError, f"{path}: not UTF-8 text (invalid start byte)"),
     }
-    if case == "blank lines":
+    if case in ("blank lines", "no final newline"):
         assert read(path) == read(clean)
         return
     with pytest.raises(TractvarError) as excinfo:
