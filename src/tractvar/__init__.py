@@ -27,7 +27,6 @@ from .anatomy import (
 )
 from .compare import ComparisonReport, compare_tvs, ppmc
 from .geometry import (
-    Circle,
     Point2D,
     Polyline,
     extend_line_to_polyline,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnatomyInconsistent",
-    "Circle",
     "CollinearPoints",
     "ComparisonReport",
     "ConfigError",

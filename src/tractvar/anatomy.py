@@ -15,7 +15,9 @@ computation needs:
 
 Every trace, measured or derived, is a `Polyline`, whose `.xy` holds
 its points as one (n, 2) array of (x, y) rows; the derivations below
-work on those arrays whole.
+work on those arrays whole.  A single position, the junction or the
+reference center, is a plain `(x, y)` pair of floats; `Point2D` is only
+the field type of the per-frame objects.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import AnatomyInconsistent, DegenerateTrace
 from .geometry import (
-    Point2D,
     Polyline,
     extend_line_to_polyline,
     fit_circle,
@@ -79,7 +80,7 @@ class SpeakerAnatomy:
     posterior_wall: Polyline
     anterior_wall: Polyline
     extended_palate: Polyline
-    reference_center: Point2D
+    reference_center: tuple[float, float]
 
 
 def infer_anterior_wall(posterior_wall: Polyline, thickness_mm: float) -> Polyline:
@@ -123,7 +124,7 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
     points do not form a polyline.
     """
     second_last, last = palate.xy[-2:].tolist()
-    junction, _ = extend_line_to_polyline(second_last, last, anterior_wall)
+    junction = extend_line_to_polyline(second_last, last, anterior_wall)
     (lx, ly), (jx, jy) = last, junction
     if jy > ly + _MAX_JUNCTION_RISE_MM:
         raise AnatomyInconsistent(
@@ -151,8 +152,8 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
         raise DegenerateTrace(f"extended palate: {exc}") from None
 
 
-def palatal_reference_center(palate: Polyline) -> Point2D:
-    """Center of the least-squares circle through the palate trace.
+def palatal_reference_center(palate: Polyline) -> tuple[float, float]:
+    """Center (x, y) of the least-squares circle through the palate trace.
 
     Only the center is kept; the circle itself plays no further role.
     Raises DegenerateTrace for a palate of fewer than 3 points.
@@ -162,7 +163,7 @@ def palatal_reference_center(palate: Polyline) -> Point2D:
             f"palate trace has {len(palate)} points; "
             f"a reference circle needs at least 3"
         )
-    return fit_circle(palate.xy).center
+    return fit_circle(palate.xy)
 
 
 def build_speaker_anatomy(
@@ -181,11 +182,11 @@ def build_speaker_anatomy(
     thickness = sex.default_thickness_mm if thickness_mm is None else thickness_mm
     anterior = infer_anterior_wall(posterior_wall, thickness)
     extended = extend_palate(palate, anterior)
-    center = palatal_reference_center(palate)
+    cx, cy = palatal_reference_center(palate)
     lowest_palate_y = float(palate.xy[:, 1].min())
-    if center.y >= lowest_palate_y:
+    if cy >= lowest_palate_y:
         raise AnatomyInconsistent(
-            f"palatal reference center ({center.x:g}, {center.y:g}) is not "
+            f"palatal reference center ({cx:g}, {cy:g}) is not "
             f"below the palate (min palate y = {lowest_palate_y:g}); "
             f"the palate fit looks pathological"
         )
@@ -197,5 +198,5 @@ def build_speaker_anatomy(
         posterior_wall=posterior_wall,
         anterior_wall=anterior,
         extended_palate=extended,
-        reference_center=center,
+        reference_center=(cx, cy),
     )

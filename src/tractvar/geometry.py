@@ -8,8 +8,10 @@ radians on (-pi, pi].
 
 A trace is a `Polyline`, which holds its points as one read-only (n, 2)
 float64 array of (x, y) rows, `.xy`; trace readers, the anatomy
-derivations and the writers all work on that array.  Single positions,
-such as a circle's center, are `Point2D`.
+derivations and the writers all work on that array.  A single position,
+such as the center `fit_circle` returns, is a plain `(x, y)` pair of
+floats.  `Point2D` is only the field type of the per-frame objects
+(`PelletFrame`).
 
 The polyline distance queries are the per-frame hot path, so `Polyline`
 precomputes per-segment arrays once and `nearest_many` answers whole
@@ -62,18 +64,6 @@ class Point2D:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True, slots=True)
-class Circle:
-    """A circle given by center and positive radius."""
-
-    center: Point2D
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
 
 class Polyline:
@@ -228,12 +218,14 @@ def _spread_twice_area(xs: np.ndarray, ys: np.ndarray) -> float:
     return extent * float(np.abs(dev).max())
 
 
-def fit_circle(xy: np.ndarray) -> Circle:
-    """Algebraic least-squares circle through three or more (x, y) rows.
+def fit_circle(xy: np.ndarray) -> tuple[float, float]:
+    """Center (cx, cy) of the algebraic least-squares circle through
+    three or more (x, y) rows.
 
     Minimizes sum_i (|p_i - c|^2 - r^2)^2, which is linear in the center
     after reducing coordinates about the centroid; the radius then
-    satisfies r^2 = mean |p_i - c|^2.  Exact on noiseless circles.
+    satisfies r^2 = mean |p_i - c|^2, which must be positive and finite.
+    Exact on noiseless circles.
 
     Raises CollinearPoints when the point spread is flat within
     TOL_COLLINEAR, and DegenerateFit when the normal equations overflow
@@ -274,21 +266,21 @@ def fit_circle(xy: np.ndarray) -> Circle:
         raise DegenerateFit(
             f"fit produced a squared radius of {r2:g}, not a positive finite number"
         )
-    return Circle(Point2D(cx, cy), math.sqrt(r2))
+    return cx, cy
 
 
 def extend_line_to_polyline(
     a: tuple[float, float], b: tuple[float, float], wall: Polyline
-) -> tuple[tuple[float, float], int]:
+) -> tuple[float, float]:
     """First intersection of the ray from `b` away from `a` with a trace.
 
     The ray starts at `b` in direction (b - a); parameter zero (b already
     on the wall) counts as a hit.  Among all crossed segments the one
-    with the smallest ray parameter wins, ties resolving to the lowest
-    segment index.  Segments parallel to the ray are skipped.
+    with the smallest ray parameter wins.  Segments parallel to the ray
+    are skipped.
 
-    Returns the intersection point (x, y) and the wall segment index.
-    Raises NoIntersection when the ray misses, ValueError when a == b.
+    Returns the intersection point (x, y).  Raises NoIntersection when
+    the ray misses, ValueError when a == b.
     """
     (ax, ay), (bx, by) = a, b
     dx = bx - ax
@@ -297,10 +289,8 @@ def extend_line_to_polyline(
     if dlen == 0.0:
         raise ValueError("ray direction undefined: a and b coincide")
     best_t = math.inf
-    best_idx = -1
     pts = wall.xy.tolist()
-    for i in range(len(pts) - 1):
-        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
         sx = x2 - x1
         sy = y2 - y1
         denom = dx * sy - dy * sx
@@ -314,11 +304,10 @@ def extend_line_to_polyline(
             continue
         if t < best_t:
             best_t = t
-            best_idx = i
-    if best_idx < 0:
+    if best_t == math.inf:
         raise NoIntersection(
             f"ray from ({bx:g}, {by:g}) along ({dx:g}, {dy:g}) "
             f"never meets the trace"
         )
     t = max(best_t, 0.0)
-    return (bx + t * dx, by + t * dy), best_idx
+    return bx + t * dx, by + t * dy

@@ -57,12 +57,7 @@ TARGET_RATE_HZ = 145.0
 # from the grid, so that a huge rate cannot ask for an impossible array.
 MAX_GRID_SAMPLES = 10_000_000
 
-PELLET_HEADER = (
-    "t",
-    "ULx", "ULy", "LLx", "LLy",
-    "T1x", "T1y", "T2x", "T2y", "T3x", "T3y", "T4x", "T4y",
-    "MNIx", "MNIy", "MNMx", "MNMy",
-)
+PELLET_HEADER = ("t", *(f"{name}{axis}" for name in PELLET_NAMES for axis in "xy"))
 _PELLET_HEADER_LINE = ",".join(PELLET_HEADER).encode()
 
 TRACE_HEADER = ("x", "y")

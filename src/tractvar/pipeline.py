@@ -175,7 +175,7 @@ def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> s
     out_csv, out_svg = _utterance_outputs(path, config.output_dir)
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
-        _write_text(out_svg, tv_svg(tvs, degrees=config.degrees))
+        _write_text(out_svg, tv_svg(tvs))
     return (
         f"{anat.speaker_id}/{path.stem}: {report.frames_read} frames in, "
         f"{len(tvs)} out, {report.frames_mistracked} mistracked, "

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 from .anatomy import SpeakerAnatomy
 from .tract_variables import TvTrajectory
-from .tvcsv import ANGLE_NAMES, TV_NAMES
+from .tvcsv import TV_NAMES
 
 _ANATOMY_SIZE = (640, 520)
 _TV_SIZE = (800, 96)
@@ -42,7 +40,7 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
     extension = anat.extended_palate.xy[len(palate) - 1 :].tolist()
     anterior = anat.anterior_wall.xy.tolist()
     posterior = anat.posterior_wall.xy.tolist()
-    center = (anat.reference_center.x, anat.reference_center.y)
+    center = anat.reference_center
 
     everything = palate + extension + anterior + posterior + [center]
     xs = [p[0] for p in everything]
@@ -86,7 +84,7 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
     return "\n".join(parts)
 
 
-def tv_svg(trajectory: TvTrajectory, degrees: bool = False) -> str:
+def tv_svg(trajectory: TvTrajectory) -> str:
     """Six stacked panels, one per tract variable, sharing the time axis.
 
     Missing values split the trace; an all-missing panel keeps its axes.
@@ -111,8 +109,6 @@ def tv_svg(trajectory: TvTrajectory, degrees: bool = False) -> str:
     ]
     for idx, name in enumerate(TV_NAMES):
         values = trajectory.values[:, idx].tolist()
-        if degrees and name in ANGLE_NAMES:
-            values = [math.degrees(v) for v in values]
         present = [v for v in values if v == v]
         lo = min(present) if present else 0.0
         hi = max(present) if present else 1.0

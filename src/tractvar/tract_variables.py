@@ -167,7 +167,7 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _angles(
-    center: Point2D, x: np.ndarray, y: np.ndarray, rows: np.ndarray
+    center: tuple[float, float], x: np.ndarray, y: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """The angle of each point (x, y) about `center`, zero along +y and
     positive toward +x, on (-pi, pi].
@@ -176,8 +176,8 @@ def _angles(
     MIN_ANGLE_RADIUS of the center, as [(frame, message)] where frame is
     its entry of `rows`, or [] when there is none.
     """
-    dx = x - center.x
-    dy = y - center.y
+    dx = x - center[0]
+    dy = y - center[1]
     angle = np.fromiter(
         map(math.atan2, dx.tolist(), dy.tolist()), np.float64, len(dx)
     )

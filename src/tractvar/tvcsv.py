@@ -283,7 +283,7 @@ def write_anatomy_json(anat: SpeakerAnatomy, path: str | Path) -> None:
         "posterior_wall": anat.posterior_wall.xy.tolist(),
         "anterior_wall": anat.anterior_wall.xy.tolist(),
         "extended_palate": anat.extended_palate.xy.tolist(),
-        "reference_center": [anat.reference_center.x, anat.reference_center.y],
+        "reference_center": list(anat.reference_center),
     }
     with open_atomic(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

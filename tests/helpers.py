@@ -61,6 +61,17 @@ DISTANCE_TOL = 5e-3
 ANGLE_TOL = 1e-3
 
 
+def translation_bound(dx: float, dy: float) -> float:
+    """How far a value derived from the fixture may move when the whole
+    session frame moves by (dx, dy).
+
+    Rounding the moved coordinates errs by an ulp of the largest
+    magnitude in play, which grows with the shift; the 100 mm term is
+    the extent of the fixture itself.
+    """
+    return 64 * np.finfo(np.float64).eps * (max(abs(dx), abs(dy)) + 100.0)
+
+
 def brute_points_to_polyline(
     xs: np.ndarray, ys: np.ndarray, trace: Polyline
 ) -> float:

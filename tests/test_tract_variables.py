@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     ANGLE_TOL,
@@ -18,6 +18,7 @@ from helpers import (
     palate_coords,
     reference_pellets,
     synthetic_anatomy,
+    translation_bound,
     wall_coords,
     wobbled_pellets,
 )
@@ -128,8 +129,8 @@ class TestTongueBodyTvs:
         assert tbcd == min(scans.values())
         assert scans["T2"] == tbcd
         want_angle = math.atan2(
-            coords["T2"][0] - anatomy.reference_center.x,
-            coords["T2"][1] - anatomy.reference_center.y,
+            coords["T2"][0] - anatomy.reference_center[0],
+            coords["T2"][1] - anatomy.reference_center[1],
         )
         assert tbcl == pytest.approx(want_angle, abs=1e-9)
 
@@ -315,7 +316,8 @@ class TestBatchedMatchesScalar:
         batched = assert_matches_scalar(trajectory_of([make_frame(0.0, coords)]), flat)
         t2 = Point2D(*coords["T2"])
         assert batched[0].tbcd == 10.0
-        assert batched[0].tbcl == angle_from_reference(flat.reference_center, t2)
+        center = Point2D(*flat.reference_center)
+        assert batched[0].tbcl == angle_from_reference(center, t2)
 
     @pytest.mark.parametrize("clamp", [False, True])
     def test_dirty_mix(self, anatomy, clamp):
@@ -341,9 +343,8 @@ class TestBatchedMatchesScalar:
         assert (min(tbcds) == 0.0) if clamp else (min(tbcds) < 0.0)
 
     def test_failing_frame_raises_the_scalar_error(self, anatomy):
-        center = anatomy.reference_center
         coords = dict(reference_pellets())
-        coords["T1"] = (center.x, center.y)
+        coords["T1"] = anatomy.reference_center
         frames = [make_frame(k / 145.0) for k in range(5)]
         frames[3] = make_frame(3 / 145.0, coords)
         with pytest.raises(DegenerateAngle) as scalar:
@@ -364,7 +365,7 @@ def flat_anatomy(anatomy):
     return dataclasses.replace(
         anatomy,
         extended_palate=polyline([Point2D(10.0, 20.0), Point2D(-70.0, 20.0)]),
-        reference_center=Point2D(-20.0, 10.0),
+        reference_center=(-20.0, 10.0),
     )
 
 
@@ -574,16 +575,60 @@ class TestSessionFrameInvariance:
         assert len(moved.extended_palate) == len(anatomy.extended_palate)
         assert shifted.quality.tolist() == base.quality.tolist()
         np.testing.assert_array_equal(shifted.values[:, 1], base.values[:, 1] + dx)
-        # Rounding the moved coordinates errs by an ulp of the largest
-        # magnitude in play, which grows with the shift; the 100 mm term
-        # is the extent of the fixture itself.
-        bound = 64 * np.finfo(np.float64).eps * (max(abs(dx), abs(dy)) + 100.0)
+        bound = translation_bound(dx, dy)
         others = [0, 2, 3, 4, 5]
         np.testing.assert_array_equal(
             np.isnan(shifted.values[:, others]), np.isnan(base.values[:, others])
         )
         error = np.nan_to_num(np.abs(shifted.values[:, others] - base.values[:, others]))
         assert error.max() <= bound
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(s=st.floats(0.5, 10.0))
+    @example(s=0.5)
+    @example(s=2.0)
+    @example(s=10.0)
+    def test_uniform_scale(self, anatomy, session, s):
+        """Scaling the palate, the wall, the pellets and the thickness by s
+        scales LA, LP, TBCD and TTCD by s and leaves TBCL, TTCL and every
+        frame's quality as they are.
+
+        Four thresholds are absolute, not relative to s, so the session
+        stays far from each of them, here given at s = 1:
+        * `TOL_COLLINEAR` (1e-6 mm^2): the collinear tongues have a twice
+          area of exactly zero, and the others of at least 416 mm^2;
+        * `MIN_ANGLE_RADIUS` (1e-9 mm): no angle is read within 10 mm of
+          the reference center;
+        * `extend_palate`'s 1e-9 mm: the junction is 32 mm from the last
+          palate point and 1.8 mm below the nearest anterior-wall point;
+        * `VELUM_STEP_MM`: it gives the extension 159, 207 and 466 points
+          at s = 0.5, 2 and 10, but sampling a straight line more finely
+          does not move the nearest point on it.
+        """
+        traj, base = session
+        scaled_anatomy = build_speaker_anatomy(
+            "synth",
+            Polyline(np.array(palate_coords()) * s),
+            Polyline(np.array(wall_coords()) * s),
+            Sex.FEMALE,
+            thickness_mm=anatomy.thickness_mm * s,
+        )
+        scaled = compute_trajectory(
+            PelletTrajectory(traj.utterance_id, traj.t, traj.xy * s, traj.valid),
+            scaled_anatomy,
+        )
+        assert scaled.quality.tolist() == base.quality.tolist()
+        np.testing.assert_array_equal(scaled.values[:, 1], base.values[:, 1] * s)
+        np.testing.assert_array_equal(np.isnan(scaled.values), np.isnan(base.values))
+        # Rounding errs by an ulp of the fixture's scaled extent, 100 s mm,
+        # and an angle's error is that over its radius, at least 10 s mm.
+        bound = 64 * np.finfo(np.float64).eps * 100.0 * s
+        distances = [0, 3, 5]
+        error = np.abs(scaled.values[:, distances] - base.values[:, distances] * s)
+        assert np.nanmax(error) <= bound
+        angles = [2, 4]
+        error = np.abs(scaled.values[:, angles] - base.values[:, angles])
+        assert np.nanmax(error) <= bound / (10.0 * s)
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
