@@ -8,9 +8,10 @@ Subcommands:
     tractvar anatomy --manifest m.json --out outdir
 
 Verbosity is controlled by the TRACTVAR_LOG environment variable
-(error, warn, info, or debug; default warn).  A usage error is logged as
-one line and exits 1, like any other configuration error.  `main` may be
-called many times in one process; the argument parser is built once.
+(error, warn, info, or debug; default warn; any other name is warned
+about and means warn).  A usage error is logged as one line and exits
+1, like any other configuration error.  `main` may be called many times
+in one process; the argument parser is built once.
 """
 
 from __future__ import annotations
@@ -65,14 +66,20 @@ class _OneLineFormatter(logging.Formatter):
 def _setup_logging() -> None:
     """Set the root level from TRACTVAR_LOG, on every call.  A stderr
     handler is added only to a root logger without one, so that a second
-    call adds no duplicate and an embedding program's handlers stay."""
-    name = os.environ.get("TRACTVAR_LOG", "warn").strip().lower()
+    call adds no duplicate and an embedding program's handlers stay.  An
+    unknown non-empty name means warn, and is logged as a warning."""
+    value = os.environ.get("TRACTVAR_LOG", "warn")
+    name = value.strip().lower()
     root = logging.getLogger()
     root.setLevel(_LOG_LEVELS.get(name, logging.WARNING))
     if not root.handlers:
         handler = logging.StreamHandler()
         handler.setFormatter(_OneLineFormatter(LOG_FORMAT))
         root.addHandler(handler)
+    if name and name not in _LOG_LEVELS:
+        logger.warning(
+            "TRACTVAR_LOG=%r is not one of %s; using warn", value, ", ".join(_LOG_LEVELS)
+        )
 
 
 class _Parser(argparse.ArgumentParser):

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import Point2D, Polyline
-from .tract_variables import PELLET_NAMES, PelletFrame
+from .tract_variables import PELLET_NAMES, REQUIRED_PELLETS, PelletFrame
 from .tvcsv import csv_rows, load_plain_table, parse_float
 
 logger = logging.getLogger(__name__)
@@ -242,10 +242,15 @@ def resample(
     the number of pellet samples that were synthesized between input
     timestamps (exact grid hits do not count).
 
+    A pellet outside REQUIRED_PELLETS may have fewer than two valid
+    samples.  With one, `np.interp` holds it; with none, it is placed at
+    the origin.  Either way it is flagged invalid wherever it was not
+    tracked, so those placeholders are never read.
+
     Raises InsufficientData when the trajectory has fewer than two frames
-    or some pellet has fewer than two valid samples, and DataError when
-    the grid would have more than MAX_GRID_SAMPLES samples or its times
-    would not increase (a step below the spacing of doubles at t).
+    or a required pellet has fewer than two valid samples, and DataError
+    when the grid would have more than MAX_GRID_SAMPLES samples or its
+    times would not increase (a step below the spacing of doubles at t).
     """
     if target_rate <= 0.0 or not math.isfinite(target_rate):
         raise ValueError(f"target rate must be positive, got {target_rate}")
@@ -286,10 +291,14 @@ def resample(
     for k, name in enumerate(PELLET_NAMES):
         mask = valid[:, k]
         n_valid = int(np.count_nonzero(mask))
-        if n_valid < 2:
+        if n_valid < 2 and name in REQUIRED_PELLETS:
             raise InsufficientData(
                 f"pellet {name} has {n_valid} valid sample(s), cannot interpolate"
             )
+        if n_valid == 0:
+            # An untracked mandible pellet: a finite placeholder, never valid.
+            xy[:, k] = 0.0
+            continue
         tv = times[mask]
         xy[:, k, 0] = np.interp(grid, tv, trajectory.xy[mask, k, 0])
         xy[:, k, 1] = np.interp(grid, tv, trajectory.xy[mask, k, 1])

@@ -1,6 +1,20 @@
-"""Self-contained SVG figures for anatomy and tract-variable traces."""
+"""Self-contained SVG figures for anatomy and tract-variable traces.
+
+Pixel positions are computed a whole column at a time.  The anatomy
+figure stacks its four traces and the palatal reference center into one
+array and takes its bounds and pixels from that.  Each TV panel maps its
+time and value columns with one expression each, and its series is split
+into runs where the mask of present values flips.  Only the `.2f`
+formatting of each coordinate goes value by value.  The test suite keeps
+a point-at-a-time twin of both figures (`tests/reference.py`) that they
+must match byte for byte.
+"""
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .anatomy import SpeakerAnatomy
 from .tract_variables import TvTrajectory
@@ -18,12 +32,8 @@ _TRACE_STYLES = (
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
-def _polyline_svg(cls: str, color: str, dash: str, pts: list[tuple[float, float]]) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+def _polyline_svg(cls: str, color: str, dash: str, pts: Iterable[Sequence[float]]) -> str:
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
     dash_attr = f' stroke-dasharray="{dash}"' if dash != "none" else ""
     return (
         f'<polyline class="{cls}" fill="none" stroke="{color}" '
@@ -36,30 +46,22 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
 
     The palatal reference center is drawn as a marker circle.
     """
-    palate = anat.palate.xy.tolist()
-    extension = anat.extended_palate.xy[len(palate) - 1 :].tolist()
-    anterior = anat.anterior_wall.xy.tolist()
-    posterior = anat.posterior_wall.xy.tolist()
-    center = anat.reference_center
-
-    everything = palate + extension + anterior + posterior + [center]
-    xs = [p[0] for p in everything]
-    ys = [p[1] for p in everything]
-    x0 = min(xs)
-    y0 = min(ys)
+    palate = anat.palate.xy
+    traces = [
+        palate,
+        anat.extended_palate.xy[len(palate) - 1 :],
+        anat.anterior_wall.xy,
+        anat.posterior_wall.xy,
+    ]
+    everything = np.concatenate([*traces, [anat.reference_center]])
+    lo = everything.min(axis=0)
+    span = everything.max(axis=0) - lo
+    span[span == 0.0] = 1.0
     w, h = _ANATOMY_SIZE
-    span_x = max(xs) - x0 or 1.0
-    span_y = max(ys) - y0 or 1.0
-    scale = min((w - 2 * _MARGIN) / span_x, (h - 2 * _MARGIN) / span_y)
+    scale = min((w - 2 * _MARGIN) / span[0], (h - 2 * _MARGIN) / span[1])
+    # +y is superior anatomically but down in SVG, so flip.
+    pixels = ((_MARGIN, h - _MARGIN) + (everything - lo) * scale * (1.0, -1.0)).tolist()
 
-    def to_px(p: tuple[float, float]) -> tuple[float, float]:
-        # +y is superior anatomically but down in SVG, so flip.
-        return (
-            _MARGIN + (p[0] - x0) * scale,
-            h - _MARGIN - (p[1] - y0) * scale,
-        )
-
-    traces = [palate, extension, anterior, posterior]
     title = anat.speaker_id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -67,11 +69,13 @@ def anatomy_svg(anat: SpeakerAnatomy) -> str:
         f'<title>speaker {title} anatomy</title>',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
-    for (cls, color, dash), pts in zip(_TRACE_STYLES, traces):
-        parts.append(_polyline_svg(cls, color, dash, [to_px(p) for p in pts]))
-    cx, cy = to_px(center)
+    start = 0
+    for (cls, color, dash), xy in zip(_TRACE_STYLES, traces):
+        parts.append(_polyline_svg(cls, color, dash, pixels[start : start + len(xy)]))
+        start += len(xy)
+    cx, cy = pixels[-1]
     parts.append(
-        f'<circle class="reference-center" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" '
+        f'<circle class="reference-center" cx="{cx:.2f}" cy="{cy:.2f}" r="4" '
         f'fill="#e08214" stroke="black" stroke-width="0.8"/>'
     )
     legend_y = 20
@@ -92,15 +96,13 @@ def tv_svg(trajectory: TvTrajectory) -> str:
     w, panel_h = _TV_SIZE
     n_panels = len(TV_NAMES)
     h = panel_h * n_panels
-    times = trajectory.t.tolist()
-    if times:
-        t0 = times[0]
-        t1 = times[-1]
-    else:
-        t0, t1 = 0.0, 1.0
+    times = trajectory.t
+    t0 = times[0] if len(times) else 0.0
+    t1 = times[-1] if len(times) else 1.0
     span_t = (t1 - t0) or 1.0
     pad = 8.0
     label_w = 70.0
+    xs = (label_w + (times - t0) / span_t * (w - label_w - pad)).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -108,16 +110,16 @@ def tv_svg(trajectory: TvTrajectory) -> str:
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
     for idx, name in enumerate(TV_NAMES):
-        values = trajectory.values[:, idx].tolist()
-        present = [v for v in values if v == v]
-        lo = min(present) if present else 0.0
-        hi = max(present) if present else 1.0
+        values = trajectory.values[:, idx]
+        present = ~np.isnan(values)
+        drawn = values[present]
+        lo = drawn.min() if len(drawn) else 0.0
+        hi = drawn.max() if len(drawn) else 1.0
         if hi == lo:
             lo -= 0.5
             hi += 0.5
         top = idx * panel_h
-        y_of = lambda v: top + panel_h - pad - (v - lo) / (hi - lo) * (panel_h - 2 * pad)
-        x_of = lambda t: label_w + (t - t0) / span_t * (w - label_w - pad)
+        ys = (top + panel_h - pad - (values - lo) / (hi - lo) * (panel_h - 2 * pad)).tolist()
         parts.append(f'<g class="panel" id="panel-{name}">')
         parts.append(
             f'<line x1="{label_w}" y1="{top + panel_h - pad:.2f}" x2="{w - pad}" '
@@ -131,25 +133,17 @@ def tv_svg(trajectory: TvTrajectory) -> str:
             f'<text x="8" y="{top + panel_h / 2:.2f}" font-size="13" '
             f'font-family="sans-serif">{name}</text>'
         )
-        run: list[tuple[float, float]] = []
-        runs: list[list[tuple[float, float]]] = []
-        for t, v in zip(times, values):
-            if v != v:
-                if run:
-                    runs.append(run)
-                    run = []
-                continue
-            run.append((x_of(t), y_of(v)))
-        if run:
-            runs.append(run)
-        for run in runs:
-            if len(run) == 1:
-                x, y = run[0]
+        # Each run of present values starts and stops where the mask flips.
+        edges = np.flatnonzero(np.diff(present, prepend=False, append=False))
+        for start, stop in edges.reshape(-1, 2).tolist():
+            if stop - start == 1:
+                x, y = xs[start], ys[start]
                 parts.append(
-                    f'<circle class="series" cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.5" '
+                    f'<circle class="series" cx="{x:.2f}" cy="{y:.2f}" r="1.5" '
                     f'fill="#1f4e79"/>'
                 )
             else:
+                run = zip(xs[start:stop], ys[start:stop])
                 parts.append(_polyline_svg("series", "#1f4e79", "none", run))
         parts.append("</g>")
     parts.append("</svg>")

@@ -45,7 +45,8 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
 
     The temporary file replaces `path` only when the block completes; if
     the block raises, it is removed and `path` is left as it was.  A
-    path without a final name, such as "" or ".", is a directory.
+    path without a final name, such as "" or ".", is a directory.  An
+    OSError from creating the temporary file names `path`, not it.
     """
     path = Path(path)
     if not path.name:
@@ -56,7 +57,12 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         name = name[: -len(suffix) - 1]
     tmp = path.with_name(f".{name}{suffix}")
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        fh = open(tmp, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        # The temporary name is ours; the caller asked for `path`.
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -72,7 +78,9 @@ def write_tv_csv(
     if degrees:
         for k, name in enumerate(TV_NAMES):
             if name in ANGLE_NAMES:
-                columns[k] = [math.degrees(v) for v in columns[k]]
+                # Past the float range this gives inf silently, as math.degrees does.
+                with np.errstate(over="ignore"):
+                    columns[k] = np.degrees(trajectory.values[:, k]).tolist()
     labels = [q.value for q in QUALITIES]
     rows = zip(trajectory.t.tolist(), *columns, trajectory.quality.tolist())
     with open_atomic(path, newline="") as fh:

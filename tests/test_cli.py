@@ -222,6 +222,28 @@ class TestRun:
         for name in ("utt00.tvs.svg", "synth.anatomy.json", "synth.anatomy.svg"):
             assert (degrees / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_untracked_mandible_pellet_changes_no_tv(self, tmp_path, caplog):
+        # The mandible pellets are carried through but not required: MNM at
+        # the 1e6 sentinel in every row gives the TV CSV of the tracked take.
+        manifest = write_speaker_fixture(tmp_path / "data", constant=False)
+        take = tmp_path / "data" / "utt00.csv"
+        tracked = tmp_path / "tracked"
+        assert run_cli("run", "--manifest", manifest, "--out", tracked) == 0
+        header, *rows = take.read_text().splitlines()
+        columns = [header.split(",").index(name) for name in ("MNMx", "MNMy")]
+        lines = [header]
+        for row in rows:
+            cells = row.split(",")
+            for k in columns:
+                cells[k] = "1000000.0"
+            lines.append(",".join(cells))
+        take.write_text("\n".join(lines) + "\n")
+        untracked = tmp_path / "untracked"
+        assert run_cli("run", "--manifest", manifest, "--out", untracked) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        tv_csv = "utt00.tv.csv"
+        assert (untracked / tv_csv).read_bytes() == (tracked / tv_csv).read_bytes()
+
     def test_no_plots_by_default(self, tmp_path):
         manifest = write_speaker_fixture(tmp_path / "data")
         out = tmp_path / "out"
@@ -1156,6 +1178,17 @@ class TestCompare:
         assert report.read_bytes() == before
         assert list(report.parent.iterdir()) == [report]
 
+    def test_json_in_a_missing_directory_names_the_report(self, tmp_path):
+        # The temporary file beside the report cannot be made; the message
+        # names the report, not that temporary file.
+        a, b = self.make_tv_files(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        report = tmp_path / "nodir" / "x.json"
+        assert run_cli_process("compare", a, b, "--json", report) == (1, [
+            f"ERROR tractvar.cli: [Errno 2] No such file or directory: '{report}'"
+        ])
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("n_ok", [0, 1])
     def test_too_few_ok_frames_is_data_error(self, tmp_path, caplog, capsys, n_ok):
         a, b = tmp_path / "a.tv.csv", tmp_path / "b.tv.csv"
@@ -1399,6 +1432,27 @@ class TestOneLineLogs:
             f"WARNING tractvar.ingest: {shown}/palate.csv: palate trace was "
             f"ordered by ascending x; reversed on load\n"
         ))
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["verbose", "2"])
+    def test_unknown_name_is_warned_about_and_means_warn(self, tmp_path, value):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        code, stderr = run_cli_process(
+            "anatomy", "--manifest", manifest, "--out", tmp_path / "out", TRACTVAR_LOG=value
+        )
+        assert (code, stderr) == (0, [
+            f"WARNING tractvar.cli: TRACTVAR_LOG={value!r} is not one of "
+            f"error, warn, warning, info, debug; using warn"
+        ])
+
+    @pytest.mark.parametrize("value", ["", " Error "])
+    def test_empty_or_known_name_is_not_warned_about(self, tmp_path, value):
+        manifest = write_speaker_fixture(tmp_path / "data")
+        code, stderr = run_cli_process(
+            "anatomy", "--manifest", manifest, "--out", tmp_path / "out", TRACTVAR_LOG=value
+        )
+        assert (code, stderr) == (0, [])
 
 
 class TestArgParsing:

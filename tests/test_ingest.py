@@ -697,6 +697,27 @@ class TestResample:
         with pytest.raises(InsufficientData, match="T3"):
             resample(traj, 145.0)
 
+    @pytest.mark.parametrize("tracked", [0, 1])
+    @pytest.mark.parametrize("rate", [80.0, 145.0])
+    def test_mandible_pellet_tracked_under_twice_is_kept_invalid(self, tracked, rate):
+        # MNM is tracked only in frame 2, or never.  At 80 Hz the grid hits
+        # every input time, so frame 2 keeps its value and its flag; at
+        # 145 Hz no grid time hits 0.025 s, so MNM is never valid.
+        invalid = {k: {"MNM"} for k in range(5) if not (tracked and k == 2)}
+        traj = self.make_traj(5, 80.0, invalid=invalid)
+        out = resample(traj, rate)
+        mnm = PELLET_NAMES.index("MNM")
+        expected = np.zeros(len(out), dtype=bool)
+        if tracked and rate == 80.0:
+            expected[2] = True
+            assert out.xy[2, mnm].tolist() == traj.xy[2, mnm].tolist()
+        assert out.valid[:, mnm].tolist() == expected.tolist()
+        assert np.isfinite(out.xy).all()
+        others = [k for k in range(len(PELLET_NAMES)) if k != mnm]
+        assert out.valid[:, others].all()
+        tracked_throughout = resample(self.make_traj(5, 80.0), rate)
+        assert out.xy[:, others].tobytes() == tracked_throughout.xy[:, others].tobytes()
+
     @pytest.mark.parametrize(
         "rate, size", [(1e300, "2.487e+300"), (1e308, "inf")], ids=["1e300", "1e308"]
     )

@@ -1,18 +1,21 @@
 """Tests for the TV CSV codec: the fast reader against the per-cell
-reference, the rejections both make, the writer round trip, and the row
-checks that the TV, pellet and trace readers share."""
+reference, the rejections both make, the writer round trip, the row
+checks that the TV, pellet and trace readers share, and the degrees
+writer against `math.degrees` per value."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tractvar.errors import ParseError, SchemaError, TractvarError
 from tractvar.ingest import PELLET_HEADER, TRACE_HEADER, parse_pellet_file, parse_trace_file
 from tractvar.tract_variables import QUALITIES, Quality, TvTrajectory
 from tractvar.tvcsv import (
+    ANGLE_NAMES,
     TV_HEADER,
+    TV_NAMES,
     _parse_regular_tv,
     _read_tv_cells,
     load_plain_table,
@@ -362,3 +365,35 @@ def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
     with pytest.raises(TractvarError) as excinfo:
         read(path)
     assert (type(excinfo.value), str(excinfo.value)) == expected[case]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(trajectory=trajectories())
+@example(
+    trajectory=TvTrajectory(
+        np.array([0.0, 0.5]),
+        np.array([[1.0, 2.0, math.nan, 3.0, -0.0, math.nan], [4.0, 5.0, 1e308, 6.0, 0.5, 7.0]]),
+        np.array([MISSING, OK], dtype=np.int8),
+    )
+)
+def test_degrees_writer_converts_each_angle_as_math_degrees(tmp_path, trajectory):
+    # The per-value writer, with `math.degrees` on each TBCL and TTCL cell:
+    # NaN stays an empty cell and 1e308 overflows to `inf`.
+    expected = [HEADER]
+    for t, values, quality in zip(
+        trajectory.t.tolist(), trajectory.values.tolist(), trajectory.quality.tolist()
+    ):
+        cells = [t]
+        for name, v in zip(TV_NAMES, values):
+            cells.append(math.degrees(v) if name in ANGLE_NAMES else v)
+        text = ",".join(repr(v) if v == v else "" for v in cells)
+        expected.append(f"{text},{QUALITIES[quality].value}")
+    path = tmp_path / "utt.tv.csv"
+    write_tv_csv(trajectory, path, degrees=True)
+    assert path.read_bytes().decode() == "".join(line + "\r\n" for line in expected)
