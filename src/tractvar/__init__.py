@@ -1,21 +1,11 @@
 """Relative vocal-tract variables from midsagittal pellet trajectories."""
 
 from .errors import (
-    AnatomyInconsistent,
-    CollinearPoints,
     ConfigError,
     DataError,
     DegenerateAngle,
-    DegenerateFit,
-    DegenerateTrace,
-    InsufficientData,
-    LengthMismatch,
-    NoIntersection,
     ParseError,
-    SchemaError,
-    TimebaseMismatch,
     TractvarError,
-    ZeroVariance,
 )
 from .anatomy import (
     Sex,
@@ -52,18 +42,11 @@ from .tract_variables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnatomyInconsistent",
-    "CollinearPoints",
     "ComparisonReport",
     "ConfigError",
     "DataError",
     "DegenerateAngle",
-    "DegenerateFit",
-    "DegenerateTrace",
     "IngestReport",
-    "InsufficientData",
-    "LengthMismatch",
-    "NoIntersection",
     "ParseError",
     "PelletFrame",
     "PelletTrajectory",
@@ -71,14 +54,11 @@ __all__ = [
     "Polyline",
     "Quality",
     "RunConfig",
-    "SchemaError",
     "Sex",
     "SpeakerAnatomy",
-    "TimebaseMismatch",
     "TractVariableFrame",
     "TractvarError",
     "TvTrajectory",
-    "ZeroVariance",
     "build_speaker_anatomy",
     "compare_tvs",
     "compute_trajectory",

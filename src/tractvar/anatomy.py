@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnatomyInconsistent, DegenerateTrace
+from .errors import DataError
 from .geometry import (
     Polyline,
     extend_line_to_polyline,
@@ -88,7 +88,7 @@ def infer_anterior_wall(posterior_wall: Polyline, thickness_mm: float) -> Polyli
 
     The anterior wall is the posterior one translated anteriorly (+x) by
     the oropharyngeal thickness.  Thickness must be positive.  Raises
-    DegenerateTrace when the shifted points do not form a polyline.
+    DataError when the shifted points do not form a polyline.
     """
     if not math.isfinite(thickness_mm) or thickness_mm <= 0.0:
         raise ValueError(f"thickness must be positive, got {thickness_mm}")
@@ -101,7 +101,7 @@ def infer_anterior_wall(posterior_wall: Polyline, thickness_mm: float) -> Polyli
         return Polyline(xy)
     except ValueError as exc:
         # The shift can round two wall points into one, or leave the float range.
-        raise DegenerateTrace(
+        raise DataError(
             f"anterior wall {thickness_mm:g} mm forward: {exc}"
         ) from None
 
@@ -118,22 +118,22 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
     the full oral cavity boundary from the alveolar ridge down into the
     pharynx.  No point is duplicated at either seam.
 
-    Raises AnatomyInconsistent when the junction lands more than 20 mm
-    above the last palate point, or more than 1000 mm from it, which
-    indicates mislabeled traces, and DegenerateTrace when the extended
-    points do not form a polyline.
+    Raises DataError when the junction lands more than 20 mm above the
+    last palate point, or more than 1000 mm from it, which indicates
+    mislabeled traces, and when the extended points do not form a
+    polyline.
     """
     second_last, last = palate.xy[-2:].tolist()
     junction = extend_line_to_polyline(second_last, last, anterior_wall)
     (lx, ly), (jx, jy) = last, junction
     if jy > ly + _MAX_JUNCTION_RISE_MM:
-        raise AnatomyInconsistent(
+        raise DataError(
             f"palate extension meets the anterior wall {jy - ly:.1f} mm "
             f"above the palate end; traces look inconsistent"
         )
     gap = math.hypot(lx - jx, ly - jy)
     if gap > _MAX_EXTENSION_MM:
-        raise AnatomyInconsistent(
+        raise DataError(
             f"palate extension to the anterior wall is {gap:g} mm long, more than "
             f"{_MAX_EXTENSION_MM:g} mm; traces look inconsistent"
         )
@@ -149,17 +149,17 @@ def extend_palate(palate: Polyline, anterior_wall: Polyline) -> Polyline:
         return Polyline(np.concatenate(parts))
     except ValueError as exc:
         # Far from the origin the 1 mm samples can round into one point.
-        raise DegenerateTrace(f"extended palate: {exc}") from None
+        raise DataError(f"extended palate: {exc}") from None
 
 
 def palatal_reference_center(palate: Polyline) -> tuple[float, float]:
     """Center (x, y) of the least-squares circle through the palate trace.
 
     Only the center is kept; the circle itself plays no further role.
-    Raises DegenerateTrace for a palate of fewer than 3 points.
+    Raises DataError for a palate of fewer than 3 points.
     """
     if len(palate) < 3:
-        raise DegenerateTrace(
+        raise DataError(
             f"palate trace has {len(palate)} points; "
             f"a reference circle needs at least 3"
         )
@@ -185,7 +185,7 @@ def build_speaker_anatomy(
     cx, cy = palatal_reference_center(palate)
     lowest_palate_y = float(palate.xy[:, 1].min())
     if cy >= lowest_palate_y:
-        raise AnatomyInconsistent(
+        raise DataError(
             f"palatal reference center ({cx:g}, {cy:g}) is not "
             f"below the palate (min palate y = {lowest_palate_y:g}); "
             f"the palate fit looks pathological"

@@ -146,11 +146,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             logger.error("%s", clash)
             return EXIT_CONFIG
     report = compare_tvs(args.file_a, args.file_b)
-    print(format_table(report))
     if args.json is not None:
         text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         with open_atomic(args.json) as fh:
             fh.write(text)
+    print(format_table(report))
     return EXIT_OK
 
 

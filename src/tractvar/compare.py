@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LengthMismatch, TimebaseMismatch, ZeroVariance
+from .errors import DataError
 from .tract_variables import QUALITIES, Quality
 from .tvcsv import TV_NAMES, read_tv_csv
 
@@ -20,16 +20,16 @@ def ppmc(a, b) -> float:
     """Pearson correlation of two equal-length series.
 
     The result is clamped onto [-1, 1]; floating-point overshoot beyond
-    that never exceeds ~1e-16 for centered sums.  Raises LengthMismatch
-    for unequal or too-short series, DataError when either side holds a
-    NaN or infinity, and ZeroVariance when either side is constant.
+    that never exceeds ~1e-16 for centered sums.  Raises DataError for
+    unequal or too-short series, when either side holds a NaN or
+    infinity, and when either side is constant.
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
-        raise LengthMismatch(f"series lengths differ: {x.shape[0]} vs {y.shape[0]}")
+        raise DataError(f"series lengths differ: {x.shape[0]} vs {y.shape[0]}")
     if x.ndim != 1 or x.shape[0] < 2:
-        raise LengthMismatch(f"need at least 2 samples, got {x.shape}")
+        raise DataError(f"need at least 2 samples, got {x.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("correlation undefined for a series with non-finite samples")
     dx = x - x.mean()
@@ -37,7 +37,7 @@ def ppmc(a, b) -> float:
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
-        raise ZeroVariance("correlation undefined for a constant series")
+        raise DataError("correlation undefined for a constant series")
     r = float(np.dot(dx, dy)) / np.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -64,17 +64,18 @@ def compare_tvs(path_a, path_b) -> ComparisonReport:
     The files must have the same frame count and agree on timestamps
     within 1e-6 s.  Frames whose quality is not Ok in either file are
     excluded pairwise before correlating.  The summary score is the
-    arithmetic mean of the six correlations.
+    arithmetic mean of the six correlations.  An error from `ppmc`, such
+    as a constant series, names its variable first.
     """
     times_a, values_a, quality_a = read_tv_csv(path_a)
     times_b, values_b, quality_b = read_tv_csv(path_b)
     if len(times_a) != len(times_b):
-        raise LengthMismatch(
+        raise DataError(
             f"frame counts differ: {len(times_a)} vs {len(times_b)}"
         )
     if len(times_a) and float(np.max(np.abs(times_a - times_b))) > _TIME_TOL_S:
         worst = int(np.argmax(np.abs(times_a - times_b)))
-        raise TimebaseMismatch(
+        raise DataError(
             f"timestamps disagree at frame {worst}: "
             f"{float(times_a[worst])!r} vs {float(times_b[worst])!r}"
         )
@@ -82,10 +83,15 @@ def compare_tvs(path_a, path_b) -> ComparisonReport:
     a = values_a[ok]
     b = values_b[ok]
     if len(a) < 2:
-        raise LengthMismatch(
+        raise DataError(
             f"only {len(a)} frame(s) are Ok in both files; need at least 2"
         )
-    scores = {name: ppmc(a[:, k], b[:, k]) for k, name in enumerate(TV_NAMES)}
+    scores = {}
+    for k, name in enumerate(TV_NAMES):
+        try:
+            scores[name] = ppmc(a[:, k], b[:, k])
+        except DataError as exc:
+            raise DataError(f"{name}: {exc}") from None
     average = sum(scores.values()) / len(scores)
     return ComparisonReport(
         scores=scores, average=average, n_frames_compared=len(a)

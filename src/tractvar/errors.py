@@ -3,7 +3,9 @@
 Two broad families matter to callers: `ConfigError` for bad run
 configuration or manifests, and `DataError` for anything wrong with the
 measurements themselves.  The command line maps these onto distinct exit
-codes, so library code should raise the most specific subclass it can.
+codes.  A subclass exists only where some code acts on the difference:
+`ParseError` carries the position of a bad cell, and `DegenerateAngle`
+the frame that failed.  Anything else is told apart by its message.
 """
 
 
@@ -19,18 +21,6 @@ class DataError(TractvarError):
     """The input data cannot support the requested computation."""
 
 
-class CollinearPoints(DataError):
-    """Three or more points are collinear where a circle is required."""
-
-
-class DegenerateFit(DataError):
-    """A least-squares system is singular and no circle can be recovered."""
-
-
-class NoIntersection(DataError):
-    """A ray never meets the target polyline."""
-
-
 class DegenerateAngle(DataError):
     """An angle is requested for a point sitting on its reference center.
 
@@ -42,11 +32,6 @@ class DegenerateAngle(DataError):
         super().__init__(message)
         self.frame = frame
         self.t = t
-
-
-class AnatomyInconsistent(DataError):
-    """Derived anatomy violates a sanity bound (for example, a palate
-    extension that lands far above the palate itself)."""
 
 
 class ParseError(DataError):
@@ -68,30 +53,3 @@ class ParseError(DataError):
         self.path = path
         self.line = line
         self.column = column
-
-
-class SchemaError(DataError):
-    """A file header does not match the expected column schema."""
-
-
-class DegenerateTrace(DataError):
-    """An anatomical trace has too few distinct points: fewer than two
-    for any trace, or fewer than three for a palate's reference circle.
-    Also raised for a segment too long or too short for floating-point
-    arithmetic, and for an anterior wall whose shift merges two points."""
-
-
-class InsufficientData(DataError):
-    """Too few valid samples to resample or interpolate."""
-
-
-class LengthMismatch(DataError):
-    """Two series that must align have different lengths."""
-
-
-class TimebaseMismatch(DataError):
-    """Two trajectories disagree on frame timestamps."""
-
-
-class ZeroVariance(DataError):
-    """A correlation was requested for a constant series."""

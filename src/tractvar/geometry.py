@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CollinearPoints,
-    DegenerateFit,
-    DegenerateTrace,
-    NoIntersection,
-)
+from .errors import DataError
 
 # Twice-triangle-area threshold (mm^2) below which a point set counts as
 # collinear.  Pellet coordinates are on a ~10 mm scale with ~0.01 mm
@@ -76,7 +71,7 @@ class Polyline:
     queries, so instances are immutable and safe to share across
     workers.  A segment for which any of them leaves the float range (a
     squared length that overflows or underflows to zero, say) raises
-    DegenerateTrace; the other checks raise ValueError.
+    DataError; the other checks raise ValueError.
     """
 
     __slots__ = ("_xy", "_ax", "_ay", "_dx", "_dy", "_ux", "_uy", "_c0")
@@ -112,7 +107,7 @@ class Polyline:
         if bad.any():
             i = int(bad.argmax())
             (x0, y0), (x1, y1) = xy[i : i + 2].tolist()
-            raise DegenerateTrace(
+            raise DataError(
                 f"segment {i} from ({x0:g}, {y0:g}) to ({x1:g}, {y1:g}) is too "
                 f"long or too short for floating-point arithmetic"
             )
@@ -227,9 +222,9 @@ def fit_circle(xy: np.ndarray) -> tuple[float, float]:
     satisfies r^2 = mean |p_i - c|^2, which must be positive and finite.
     Exact on noiseless circles.
 
-    Raises CollinearPoints when the point spread is flat within
-    TOL_COLLINEAR, and DegenerateFit when the normal equations overflow
-    or are singular anyway.
+    Raises DataError when the point spread is flat within
+    TOL_COLLINEAR, and when the normal equations overflow or are
+    singular anyway.
     """
     if len(xy) < 3:
         raise ValueError(f"need at least 3 points to fit a circle, got {len(xy)}")
@@ -251,19 +246,19 @@ def fit_circle(xy: np.ndarray) -> tuple[float, float]:
         lhs = np.array([[suu, suv], [suv, svv]])
         rhs = np.array([(suuu + suvv) / 2.0, (svvv + suuv) / 2.0])
     if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-        raise DegenerateFit("circle-fit moments overflow; coordinates are too large")
+        raise DataError("circle-fit moments overflow; coordinates are too large")
     if _spread_twice_area(xs, ys) < TOL_COLLINEAR:
-        raise CollinearPoints("cannot fit a circle through collinear points")
+        raise DataError("cannot fit a circle through collinear points")
     try:
         uc, vc = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateFit(f"singular circle-fit system: {exc}") from exc
+        raise DataError(f"singular circle-fit system: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         cx = float(xm + uc)
         cy = float(ym + vc)
         r2 = float(np.mean((xs - cx) ** 2 + (ys - cy) ** 2))
     if r2 <= 0.0 or not math.isfinite(r2):
-        raise DegenerateFit(
+        raise DataError(
             f"fit produced a squared radius of {r2:g}, not a positive finite number"
         )
     return cx, cy
@@ -279,8 +274,8 @@ def extend_line_to_polyline(
     with the smallest ray parameter wins.  Segments parallel to the ray
     are skipped.
 
-    Returns the intersection point (x, y).  Raises NoIntersection when
-    the ray misses, ValueError when a == b.
+    Returns the intersection point (x, y).  Raises DataError when the
+    ray misses, ValueError when a == b.
     """
     (ax, ay), (bx, by) = a, b
     dx = bx - ax
@@ -305,7 +300,7 @@ def extend_line_to_polyline(
         if t < best_t:
             best_t = t
     if best_t == math.inf:
-        raise NoIntersection(
+        raise DataError(
             f"ray from ({bx:g}, {by:g}) along ({dx:g}, {dy:g}) "
             f"never meets the trace"
         )

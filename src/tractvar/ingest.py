@@ -35,8 +35,6 @@ from .anatomy import Sex
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateTrace,
-    InsufficientData,
     ParseError,
 )
 from .geometry import Point2D, Polyline
@@ -124,8 +122,8 @@ def _read_pellet_cells(path: Path) -> np.ndarray:
 
     The reference that the fast path of `parse_pellet_file` must agree
     with, the only reader of legal but irregular files (blank lines,
-    quoted or padded cells), and the one that raises every SchemaError
-    and ParseError: for a bad header, or for the first bad cell in file
+    quoted or padded cells), and the one that raises every
+    ParseError: for a bad header, or for the first bad cell in file
     order (a row of the wrong width, a cell that is not a finite number,
     or a time that does not increase).  Text that is not UTF-8 raises
     ParseError too.
@@ -150,10 +148,10 @@ def parse_pellet_file(path: str | Path) -> tuple[PelletTrajectory, IngestReport]
     """Read one utterance's pellet CSV.
 
     Returns the trajectory, whose utterance id is the file stem, plus an
-    ingest report.  Raises SchemaError for a bad header and ParseError
-    for malformed rows, non-finite values, non-monotone time, fewer than
-    two rows, a time span too short for a finite sample rate, or text
-    that is not UTF-8.
+    ingest report.  Raises ParseError for a bad header, for malformed
+    rows, non-finite values, non-monotone time, fewer than two rows, a
+    time span too short for a finite sample rate, or text that is not
+    UTF-8.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -188,7 +186,7 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
 
     Normalizes orientation (palates descend in x, walls in y), collapses
     exactly repeated consecutive points with a warning, and raises
-    DegenerateTrace when fewer than two distinct points remain or a
+    DataError when fewer than two distinct points remain or a
     segment is out of floating-point range.
     """
     if kind not in ("palate", "wall"):
@@ -207,7 +205,7 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
     if dropped:
         logger.warning("%s: collapsed %d repeated consecutive point(s)", path, dropped)
     if len(points) < 2:
-        raise DegenerateTrace(f"{path}: fewer than 2 distinct points")
+        raise DataError(f"{path}: fewer than 2 distinct points")
     column, axis = (0, "x") if kind == "palate" else (1, "y")
     if points[0][column] < points[-1][column]:
         points.reverse()
@@ -219,8 +217,8 @@ def parse_trace_file(path: str | Path, kind: str) -> Polyline:
         )
     try:
         return Polyline(np.array(points))
-    except DegenerateTrace as exc:
-        raise DegenerateTrace(f"{path}: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def resample(
@@ -247,17 +245,17 @@ def resample(
     the origin.  Either way it is flagged invalid wherever it was not
     tracked, so those placeholders are never read.
 
-    Raises InsufficientData when the trajectory has fewer than two frames
-    or a required pellet has fewer than two valid samples, and DataError
-    when the grid would have more than MAX_GRID_SAMPLES samples or its
-    times would not increase (a step below the spacing of doubles at t).
+    Raises DataError when the trajectory has fewer than two frames or a
+    required pellet has fewer than two valid samples, when the grid would
+    have more than MAX_GRID_SAMPLES samples, or when its times would not
+    increase (a step below the spacing of doubles at t).
     """
     if target_rate <= 0.0 or not math.isfinite(target_rate):
         raise ValueError(f"target rate must be positive, got {target_rate}")
     times = trajectory.t
     n = len(times)
     if n < 2:
-        raise InsufficientData(f"need at least 2 frames to resample, got {n}")
+        raise DataError(f"need at least 2 frames to resample, got {n}")
     span = float(times[-1] - times[0])
     # Intervals in the grid before flooring, as a float: a huge rate makes
     # it inf, which `math.floor` cannot take.
@@ -292,7 +290,7 @@ def resample(
         mask = valid[:, k]
         n_valid = int(np.count_nonzero(mask))
         if n_valid < 2 and name in REQUIRED_PELLETS:
-            raise InsufficientData(
+            raise DataError(
                 f"pellet {name} has {n_valid} valid sample(s), cannot interpolate"
             )
         if n_valid == 0:

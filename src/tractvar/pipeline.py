@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .anatomy import SpeakerAnatomy, build_speaker_anatomy
-from .errors import ConfigError, DataError, DegenerateAngle, ParseError, SchemaError
+from .errors import ConfigError, DataError, DegenerateAngle, ParseError
 from .ingest import (
     SpeakerSpec,
     TARGET_RATE_HZ,
@@ -193,7 +193,7 @@ def _attempt_utterance(
     except DegenerateAngle as exc:
         return EXIT_DATA, f"utterance {path}: frame {exc.frame} (t = {exc.t!r} s): {exc}"
     except (OSError, DataError) as exc:
-        if isinstance(exc, (ParseError, SchemaError)):
+        if isinstance(exc, ParseError):
             # The message starts with the path, and the line and column.
             line = f"utterance {exc}"
         elif isinstance(exc, OSError) and exc.filename == str(path):

@@ -32,7 +32,7 @@ from typing import BinaryIO, Callable, Iterator, TextIO
 import numpy as np
 
 from .anatomy import SpeakerAnatomy
-from .errors import ParseError, SchemaError
+from .errors import ParseError
 from .tract_variables import QUALITIES, TV_NAMES, Quality, TvTrajectory
 
 TV_HEADER = ("t", *TV_NAMES, "quality")
@@ -112,7 +112,7 @@ def csv_rows(
     """Yield `(line, cells)` for each non-blank row after the header of a
     UTF-8 CSV file, where `line` counts CSV records, the header being 1.
 
-    Raises SchemaError for an empty file, and for a header that differs
+    Raises ParseError for an empty file, and for a header that differs
     from `header` after stripping each name, with the message
     `bad_header` gives for its cells.  Raises ParseError for a row whose
     width is not the header's, for bytes that are not UTF-8, and for
@@ -124,9 +124,9 @@ def csv_rows(
         try:
             first = next(reader, None)
             if first is None:
-                raise SchemaError(f"{path}: empty file")
+                raise ParseError("empty file", path)
             if tuple(h.strip() for h in first) != header:
-                raise SchemaError(f"{path}: {bad_header(first)}")
+                raise ParseError(bad_header(first), path)
             for line, cells in enumerate(reader, start=2):
                 if not cells:
                     continue
@@ -162,10 +162,10 @@ def read_tv_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     conversion happens here; values come back as stored, and times are
     not checked against a uniform grid.
 
-    Raises SchemaError for a bad header and ParseError, with line and
-    column, for a row without 8 fields, a cell that is not a finite
-    number, an unknown quality label, an empty cell in an Ok frame, or
-    text that is not UTF-8.
+    Raises ParseError for a bad header, and with line and column for a
+    row without 8 fields, a cell that is not a finite number, an unknown
+    quality label, an empty cell in an Ok frame, or text that is not
+    UTF-8.
     """
     path = Path(path)
     with open(path, "rb") as fh:

@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from tractvar.anatomy import SpeakerAnatomy
-from tractvar.errors import CollinearPoints, DegenerateAngle
+from tractvar.errors import DataError, DegenerateAngle
 from tractvar.geometry import (
     MIN_ANGLE_RADIUS,
     TOL_COLLINEAR,
@@ -56,6 +56,11 @@ from tractvar.tract_variables import (
 
 # Value written back out for invalid pellets.
 SENTINEL_OUT = 1e6
+
+
+class CollinearPoints(DataError):
+    """Three points too flat for `circumcircle`: the tongue-body posture
+    for which `compute_frame` takes the fallback."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,8 +24,8 @@ import tractvar
 from tractvar import cli, pipeline
 from tractvar.anatomy import SpeakerAnatomy
 from tractvar.cli import main
-from tractvar.compare import ComparisonReport, compare_tvs, ppmc
-from tractvar.errors import DataError, TimebaseMismatch
+from tractvar.compare import ComparisonReport, compare_tvs, format_table, ppmc
+from tractvar.errors import DataError
 from tractvar.tract_variables import TvTrajectory
 from tractvar.tvcsv import TV_HEADER, open_atomic, read_tv_csv, write_tv_csv
 
@@ -506,6 +506,19 @@ class TestRun:
         for u in range(3):
             name = f"utt{u:02d}.tv.csv"
             assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+
+    def test_palate_line_missing_the_wall_is_data_error(self, tmp_path, caplog, capsys):
+        # A wall that ends 30 mm up: the soft-palate line passes below it.
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        write_trace_csv(root / "wall.csv", [(x, y) for x, y in wall_coords() if y >= 30])
+        assert run_cli("run", "--manifest", manifest, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            "speaker synth: ray from (-44.7916, 26.7208) along (-0.277376, -0.127872) "
+            "never meets the trace"
+        ]
 
 
 class TestRunRejectsBadConfig:
@@ -1066,8 +1079,10 @@ class TestCompare:
         assert run_cli("compare", a, b, "--json", report) == 0
         expected = json.dumps(compare_tvs(a, b).to_json_dict(), indent=2, sort_keys=True)
         assert report.read_bytes() == (expected + "\n").encode()
+        # The table is printed as it is without --json.
+        assert capsys.readouterr().out == format_table(compare_tvs(a, b)) + "\n"
 
-    def test_frame_count_mismatch_is_data_error(self, tmp_path):
+    def test_frame_count_mismatch_is_data_error(self, tmp_path, caplog, capsys):
         root = tmp_path
         short = write_speaker_fixture(
             root / "short", n_frames=20, constant=False, speaker_id="a"
@@ -1081,6 +1096,9 @@ class TestCompare:
         assert run_cli("run", "--manifest", long, "--out", out_b) == 0
         rc = run_cli("compare", out_a / "utt00.tv.csv", out_b / "utt00.tv.csv")
         assert rc == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["frame counts differ: 20 vs 30"]
 
     def test_missing_file_is_config_error(self, tmp_path):
         a, _ = self.make_tv_files(tmp_path)
@@ -1123,6 +1141,15 @@ class TestCompare:
         with pytest.raises(DataError, match="non-finite"):
             ppmc([1.0, 2.0, 3.0], [1.0, 2.0, bad])
 
+    def test_ppmc_rejects_unequal_lengths(self):
+        with pytest.raises(DataError, match="^series lengths differ: 3 vs 2$"):
+            ppmc([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("series, shape", [([], r"\(0,\)"), ([1.0], r"\(1,\)")])
+    def test_ppmc_needs_two_samples(self, series, shape):
+        with pytest.raises(DataError, match=f"^need at least 2 samples, got {shape}$"):
+            ppmc(series, series)
+
     def test_timebase_mismatch_message(self, tmp_path):
         a, b = tmp_path / "a.tv.csv", tmp_path / "b.tv.csv"
         for path, last in ((a, 2 / 145), (b, 0.5)):
@@ -1131,7 +1158,7 @@ class TestCompare:
                 for k, t in enumerate([0.0, 1 / 145, last])
             ]
             path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(TimebaseMismatch) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             compare_tvs(a, b)
         assert str(excinfo.value) == (
             "timestamps disagree at frame 2: 0.013793103448275862 vs 0.5"
@@ -1184,7 +1211,10 @@ class TestCompare:
         a, b = self.make_tv_files(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         report = tmp_path / "nodir" / "x.json"
-        assert run_cli_process("compare", a, b, "--json", report) == (1, [
+        proc = run_python(
+            "-m", "tractvar.cli", "compare", a, b, "--json", report, TRACTVAR_LOG="warn"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (1, "", [
             f"ERROR tractvar.cli: [Errno 2] No such file or directory: '{report}'"
         ])
         assert sorted(tmp_path.rglob("*")) == before
@@ -1206,12 +1236,15 @@ class TestCompare:
             f"only {n_ok} frame(s) are Ok in both files; need at least 2"
         ]
 
-    def test_constant_series_is_data_error(self, tmp_path):
+    def test_constant_series_is_data_error(self, tmp_path, caplog, capsys):
         manifest = write_speaker_fixture(tmp_path / "data")
         out = tmp_path / "out"
         assert run_cli("run", "--manifest", manifest, "--out", out) == 0
         rc = run_cli("compare", out / "utt00.tv.csv", out / "utt00.tv.csv")
         assert rc == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["LA: correlation undefined for a constant series"]
 
 
 class TestAnatomySubcommand:

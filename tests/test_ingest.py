@@ -15,10 +15,7 @@ from tractvar.anatomy import Sex
 from tractvar.errors import (
     ConfigError,
     DataError,
-    DegenerateTrace,
-    InsufficientData,
     ParseError,
-    SchemaError,
     TractvarError,
 )
 from tractvar import ingest, tvcsv
@@ -81,22 +78,29 @@ class TestParsePelletFile:
         path = tmp_path / "bad.csv"
         header = ",".join(PELLET_HEADER[:-1])
         path.write_text(header + "\n")
-        with pytest.raises(SchemaError, match="MNMy"):
+        with pytest.raises(ParseError) as excinfo:
             parse_pellet_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: header does not match the pellet schema (missing columns ['MNMy'])"
+        )
 
     def test_reordered_columns_are_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         cols = list(PELLET_HEADER)
         cols[1], cols[2] = cols[2], cols[1]
         path.write_text(",".join(cols) + "\n")
-        with pytest.raises(SchemaError, match="order"):
+        with pytest.raises(ParseError) as excinfo:
             parse_pellet_file(path)
+        assert str(excinfo.value) == (
+            f"{path}: header does not match the pellet schema (bad column order)"
+        )
 
     def test_empty_file_is_schema_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError) as excinfo:
             parse_pellet_file(path)
+        assert str(excinfo.value) == f"{path}: empty file"
 
     def test_bad_number_reports_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -525,14 +529,16 @@ class TestParseTraceFile:
     def test_all_identical_points_degenerate(self, tmp_path):
         path = tmp_path / "pal.csv"
         write_trace_csv(path, [(1.0, 2.0)] * 5)
-        with pytest.raises(DegenerateTrace):
+        with pytest.raises(DataError) as excinfo:
             parse_trace_file(path, "palate")
+        assert str(excinfo.value) == f"{path}: fewer than 2 distinct points"
 
     def test_bad_header_is_schema_error(self, tmp_path):
         path = tmp_path / "pal.csv"
         path.write_text("x,y,z\n1,2,3\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError) as excinfo:
             parse_trace_file(path, "palate")
+        assert str(excinfo.value) == f"{path}: trace header must be 'x,y'"
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "pal.csv"
@@ -687,14 +693,16 @@ class TestResample:
 
     def test_single_frame_insufficient(self):
         traj = pellet_trajectory((make_frame(0.0),), "solo")
-        with pytest.raises(InsufficientData) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             resample(traj, 145.0)
         assert str(excinfo.value) == "need at least 2 frames to resample, got 1"
 
     def test_pellet_with_one_valid_sample_insufficient(self):
         invalid = {k: {"T3"} for k in range(1, 5)}
         traj = self.make_traj(5, 80.0, invalid=invalid)
-        with pytest.raises(InsufficientData, match="T3"):
+        with pytest.raises(
+            DataError, match=r"^pellet T3 has 1 valid sample\(s\), cannot interpolate$"
+        ):
             resample(traj, 145.0)
 
     @pytest.mark.parametrize("tracked", [0, 1])

@@ -36,7 +36,7 @@ from reference import (
     tongue_body_circle,
 )
 from tractvar.anatomy import Sex, build_speaker_anatomy
-from tractvar.errors import CollinearPoints, DegenerateAngle
+from tractvar.errors import DataError, DegenerateAngle
 from tractvar.geometry import Point2D, Polyline
 from tractvar.ingest import PelletTrajectory
 from tractvar.tract_variables import (
@@ -77,7 +77,9 @@ class TestTongueBodyCircle:
         coords["T2"] = (-20.0, 10.0)
         coords["T3"] = (-25.0, 10.0)
         coords["T4"] = (-30.0, 10.0)
-        with pytest.raises(CollinearPoints):
+        with pytest.raises(
+            DataError, match=r"^points are collinear within tolerance \(twice area = "
+        ):
             tongue_body_circle(make_frame(0.0, coords))
 
 
@@ -417,7 +419,9 @@ class TestDegenerateAngle:
         # Each posture reaches the check it is named after: a tongue-body
         # circle exists exactly when the fallback is not named.
         if "fallback" in faults:
-            with pytest.raises(CollinearPoints):
+            with pytest.raises(
+                DataError, match=r"^points are collinear within tolerance \(twice area = "
+            ):
                 tongue_body_circle(frame)
         else:
             tongue_body_circle(frame)

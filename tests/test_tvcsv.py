@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tractvar.errors import ParseError, SchemaError, TractvarError
+from tractvar.errors import ParseError, TractvarError
 from tractvar.ingest import PELLET_HEADER, TRACE_HEADER, parse_pellet_file, parse_trace_file
 from tractvar.tract_variables import QUALITIES, Quality, TvTrajectory
 from tractvar.tvcsv import (
@@ -115,8 +115,9 @@ class TestReadTvCsv:
     def test_bad_header_is_schema_error(self, tmp_path):
         path = tmp_path / "utt.tv.csv"
         path.write_text("t,LA\r\n0.0,1.0\r\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError) as excinfo:
             read_tv_csv(path)
+        assert str(excinfo.value) == f"{path}: header does not match the TV schema"
 
     def test_not_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "utt.tv.csv"
@@ -349,9 +350,9 @@ def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
         assert blank == result()
         return
     expected = {
-        "empty": (SchemaError, f"{path}: empty file"),
-        "swapped header": (SchemaError, f"{path}: {swapped}"),
-        "renamed header": (SchemaError, f"{path}: {renamed}"),
+        "empty": (ParseError, f"{path}: empty file"),
+        "swapped header": (ParseError, f"{path}: {swapped}"),
+        "renamed header": (ParseError, f"{path}: {renamed}"),
         "short row": (ParseError, f"{path}:3: expected {width} fields, got {width - 1}"),
         "long row": (ParseError, f"{path}:3: expected {width} fields, got {width + 1}"),
         "short row after blank lines": (
