@@ -7,10 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .tract_variables import QUALITIES, Quality
+from .tract_variables import OK
 from .tvcsv import TV_NAMES, read_tv_csv
-
-_OK = QUALITIES.index(Quality.OK)
 
 # Two frames count as simultaneous when their stamps agree this closely.
 _TIME_TOL_S = 1e-6
@@ -20,15 +18,17 @@ def ppmc(a, b) -> float:
     """Pearson correlation of two equal-length series.
 
     The result is clamped onto [-1, 1]; floating-point overshoot beyond
-    that never exceeds ~1e-16 for centered sums.  Raises DataError for
-    unequal or too-short series, when either side holds a NaN or
-    infinity, and when either side is constant.
+    that never exceeds ~1e-16 for centered sums.  Raises DataError when
+    a series is not 1-D, for unequal or too-short series, when either
+    side holds a NaN or infinity, and when either side is constant.
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DataError(f"series lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.ndim != 1 or x.shape[0] < 2:
+    if x.ndim != 1 or y.ndim != 1:
+        raise DataError(f"series must be 1-D, got shapes {x.shape} and {y.shape}")
+    if len(x) != len(y):
+        raise DataError(f"series lengths differ: {len(x)} vs {len(y)}")
+    if len(x) < 2:
         raise DataError(f"need at least 2 samples, got {x.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("correlation undefined for a series with non-finite samples")
@@ -79,7 +79,7 @@ def compare_tvs(path_a, path_b) -> ComparisonReport:
             f"timestamps disagree at frame {worst}: "
             f"{float(times_a[worst])!r} vs {float(times_b[worst])!r}"
         )
-    ok = (quality_a == _OK) & (quality_b == _OK)
+    ok = (quality_a == OK) & (quality_b == OK)
     a = values_a[ok]
     b = values_b[ok]
     if len(a) < 2:

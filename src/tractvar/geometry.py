@@ -13,12 +13,12 @@ such as the center `fit_circle` returns, is a plain `(x, y)` pair of
 floats.  `Point2D` is only the field type of the per-frame objects
 (`PelletFrame`).
 
-The polyline distance queries are the per-frame hot path, so `Polyline`
-precomputes per-segment arrays once and `nearest_many` answers whole
-blocks of points at a time, vectorized over points and segments.  It is
-the one nearest-point kernel: `circle_polyline_contacts` is built on it,
-and the test suite keeps a point-at-a-time twin (`tests/reference.py`)
-that it must match bit for bit.
+`Polyline` precomputes per-segment arrays once, and no query loops over
+segments in Python.  `nearest_many` answers whole blocks of points at a
+time and is the one nearest-point kernel (`circle_polyline_contacts` is
+built on it); `extend_line_to_polyline` casts a ray at every segment at
+once.  The test suite keeps a scalar twin of each (`nearest` and
+`extend_line` in `tests/reference.py`) that it must match bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ CENTER_ON_TRACE = "trace passes through the circle center; boundary point undefi
 # points-by-segments temporaries stay within the CPU cache for traces of
 # a few hundred points.
 NEAREST_CHUNK = 64
+
+
+def hypot_each(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`math.hypot` per element (np.hypot can differ by one ulp)."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,26 +288,22 @@ def extend_line_to_polyline(
     dlen = math.hypot(dx, dy)
     if dlen == 0.0:
         raise ValueError("ray direction undefined: a and b coincide")
-    best_t = math.inf
-    pts = wall.xy.tolist()
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        sx = x2 - x1
-        sy = y2 - y1
+    sx, sy = wall._dx, wall._dy
+    with np.errstate(all="ignore"):
         denom = dx * sy - dy * sx
-        if abs(denom) <= 1e-12 * dlen * math.hypot(sx, sy):
-            continue
-        rx = x1 - bx
-        ry = y1 - by
+        rx = wall._ax - bx
+        ry = wall._ay - by
         t = (rx * sy - ry * sx) / denom
         u = (rx * dy - ry * dx) / denom
-        if t < -1e-9 or u < -1e-9 or u > 1.0 + 1e-9:
-            continue
-        if t < best_t:
-            best_t = t
-    if best_t == math.inf:
+        skip = np.abs(denom) <= 1e-12 * dlen * hypot_each(sx, sy)
+    skip |= (t < -1e-9) | (u < -1e-9) | (u > 1.0 + 1e-9)
+    # A NaN parameter never wins, as no comparison holds for it.
+    t[skip | np.isnan(t)] = math.inf
+    k = int(np.argmin(t))
+    if t[k] == math.inf:
         raise DataError(
             f"ray from ({bx:g}, {by:g}) along ({dx:g}, {dy:g}) "
             f"never meets the trace"
         )
-    t = max(best_t, 0.0)
+    t = max(float(t[k]), 0.0)
     return bx + t * dx, by + t * dy

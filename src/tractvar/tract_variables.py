@@ -12,9 +12,10 @@ Six variables are produced per frame:
   distance from the front tongue pellet to the extended palate, and its
   angle about the same center.
 
-Degrees are in millimeters, locations in radians.  Frames with invalid
-pellets or a degenerate (collinear) tongue posture are flagged through
-`Quality`; a flagged variable is absent (None), never a silent zero.
+Degrees are in millimeters, locations in radians.  A frame with invalid
+pellets or a collinear tongue is flagged by its int8 quality code, an
+index into QUALITY_LABELS; a variable it lacks is NaN, never a silent
+zero.  `Quality` and the frame records only type the `.frames` views.
 
 `compute_trajectory` is the engine: it works on whole columns at once.
 The test suite keeps a per-frame engine (`compute_frame` in
@@ -41,6 +42,7 @@ from .geometry import (
     TOL_COLLINEAR,
     Point2D,
     circle_polyline_contacts,
+    hypot_each,
 )
 
 if TYPE_CHECKING:
@@ -53,8 +55,6 @@ PELLET_NAMES = ("UL", "LL", "T1", "T2", "T3", "T4", "MNI", "MNM")
 # ride along in the data but are not consumed here.
 REQUIRED_PELLETS = ("UL", "LL", "T1", "T2", "T3", "T4")
 
-_ALL_VALID = frozenset(PELLET_NAMES)
-
 # Pellet axis indices of `PelletTrajectory.xy` and `.valid`.
 _UL, _LL, _T1, _T2, _T3, _T4 = (PELLET_NAMES.index(n) for n in REQUIRED_PELLETS)
 _REQUIRED = [_UL, _LL, _T1, _T2, _T3, _T4]
@@ -66,25 +66,24 @@ _LA, _LP, _TBCL, _TBCD, _TTCL, _TTCD = range(len(TV_NAMES))
 
 
 class Quality(enum.Enum):
-    """Per-frame data quality flag, serialized by value."""
+    """The type of `TractVariableFrame.quality`; each value is a label."""
 
     OK = "Ok"
     DEGENERATE_TONGUE = "DegenerateTongue"
     MISSING_PELLET = "MissingPellet"
 
 
-# `TvTrajectory.quality` stores indices into this tuple.
-QUALITIES = tuple(Quality)
-_QUALITY_CODE = {q: k for k, q in enumerate(QUALITIES)}
+# The one label <-> code mapping: `TvTrajectory.quality` holds int8 codes
+# that index QUALITY_LABELS, the labels TV files spell.
+QUALITY_LABELS = tuple(q.value for q in Quality)
+OK, DEGENERATE_TONGUE, MISSING_PELLET = range(len(QUALITY_LABELS))
 
 
 @dataclass(frozen=True, slots=True)
 class PelletFrame:
-    """One time sample of the eight tracked pellets.
-
-    `valid` holds the names of pellets whose positions can be trusted;
-    positions of invalid pellets must not be read.
-    """
+    """One time sample of the eight tracked pellets: the record that
+    `PelletTrajectory.frames` presents.  `valid` holds the names of the
+    pellets whose positions can be trusted."""
 
     t: float
     ul: Point2D
@@ -95,13 +94,7 @@ class PelletFrame:
     t4: Point2D
     mni: Point2D
     mnm: Point2D
-    valid: frozenset[str] = _ALL_VALID
-
-    def pellet(self, name: str) -> Point2D:
-        return getattr(self, name.lower())
-
-    def is_valid(self, name: str) -> bool:
-        return name in self.valid
+    valid: frozenset[str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,10 +121,10 @@ class TvTrajectory:
     `t` has shape (n,): the uniform, increasing grid that `resample` owns,
     so the constructor checks nothing.  `values` has shape (n, 6), columns
     in TV_NAMES order, with NaN for an absent variable (computed values
-    are always finite).  `quality` has shape (n,) and holds indices into
-    QUALITIES.  `frames` presents the same data as TractVariableFrame
-    objects; it is built on first use and cached.  Treat the arrays as
-    read-only.
+    are always finite).  `quality` has shape (n,) and holds int8 codes
+    into QUALITY_LABELS.  `frames` presents the same data as
+    TractVariableFrame objects; it is built on first use and cached.
+    Treat the arrays as read-only.
     """
 
     __slots__ = ("t", "values", "quality", "_frames")
@@ -152,18 +145,13 @@ class TvTrajectory:
                 TractVariableFrame(
                     ti,
                     *(None if v != v else v for v in row),
-                    quality=QUALITIES[q],
+                    quality=Quality(QUALITY_LABELS[q]),
                 )
                 for ti, row, q in zip(
                     self.t.tolist(), self.values.tolist(), self.quality.tolist()
                 )
             )
         return self._frames
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`math.hypot` per element (np.hypot can differ by one ulp)."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
 
 
 def _angles(
@@ -182,7 +170,7 @@ def _angles(
         map(math.atan2, dx.tolist(), dy.tolist()), np.float64, len(dx)
     )
     angle[angle <= -math.pi] = math.pi
-    on_center = np.flatnonzero(_hypot(dx, dy) < MIN_ANGLE_RADIUS)
+    on_center = np.flatnonzero(hypot_each(dx, dy) < MIN_ANGLE_RADIUS)
     if not len(on_center):
         return angle, []
     k = on_center[0]
@@ -228,7 +216,7 @@ def compute_trajectory(
     values[rows, _LP] = xy[rows, _UL, 0]
     rows = np.flatnonzero(valid[:, _UL] & valid[:, _LL])
     lips = xy[rows, _UL] - xy[rows, _LL]
-    values[rows, _LA] = _hypot(lips[:, 0], lips[:, 1])
+    values[rows, _LA] = hypot_each(lips[:, 0], lips[:, 1])
 
     # Tongue body: the circle through T2, T3, T4, as in
     # `tests/reference.circumcircle`.
@@ -249,7 +237,7 @@ def compute_trajectory(
     uy = (abx * ac2 - acx * ab2) * inv
     cx = a[:, 0] + ux
     cy = a[:, 1] + uy
-    radius = _hypot(ux, uy)
+    radius = hypot_each(ux, uy)
     _, center_dist, _, _, contact_x, contact_y = circle_polyline_contacts(
         cx, cy, radius, palate
     )
@@ -289,7 +277,7 @@ def compute_trajectory(
         k, message = min(faults, key=lambda fault: fault[0])
         raise DegenerateAngle(message, frame=k, t=float(trajectory.t[k]))
 
-    quality = np.full(n, _QUALITY_CODE[Quality.OK], dtype=np.int8)
-    quality[flat] = _QUALITY_CODE[Quality.DEGENERATE_TONGUE]
-    quality[~valid[:, _REQUIRED].all(axis=1)] = _QUALITY_CODE[Quality.MISSING_PELLET]
+    quality = np.full(n, OK, dtype=np.int8)
+    quality[flat] = DEGENERATE_TONGUE
+    quality[~valid[:, _REQUIRED].all(axis=1)] = MISSING_PELLET
     return TvTrajectory(trajectory.t, values, quality)

@@ -1,7 +1,8 @@
 """Reading and writing tract-variable CSV files and anatomy JSON.
 
-A TV file has the header `t,LA,LP,TBCL,TBCD,TTCL,TTCD,quality`.  Frames
-whose quality is not Ok leave their absent variables as empty cells.
+A TV file has the header `t,LA,LP,TBCL,TBCD,TTCL,TTCD,quality`; its last
+cell spells the frame's quality code as its entry of QUALITY_LABELS.
+Frames whose quality is not Ok leave their absent variables empty.
 Values are written with shortest round-trip repr so files re-read
 bit-exactly.  Angles are stored in radians unless a writer is asked for
 degrees; readers do not convert.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .anatomy import SpeakerAnatomy
 from .errors import ParseError
-from .tract_variables import QUALITIES, TV_NAMES, Quality, TvTrajectory
+from .tract_variables import OK, QUALITY_LABELS, TV_NAMES, TvTrajectory
 
 TV_HEADER = ("t", *TV_NAMES, "quality")
 ANGLE_NAMES = frozenset(("TBCL", "TTCL"))
@@ -81,17 +82,14 @@ def write_tv_csv(
                 # Past the float range this gives inf silently, as math.degrees does.
                 with np.errstate(over="ignore"):
                     columns[k] = np.degrees(trajectory.values[:, k]).tolist()
-    labels = [q.value for q in QUALITIES]
     rows = zip(trajectory.t.tolist(), *columns, trajectory.quality.tolist())
     with open_atomic(path, newline="") as fh:
         fh.write(",".join(TV_HEADER) + "\r\n")
         for t, *values, quality in rows:
             cells = [repr(v) if v == v else "" for v in values]
-            fh.write(f"{t!r},{','.join(cells)},{labels[quality]}\r\n")
+            fh.write(f"{t!r},{','.join(cells)},{QUALITY_LABELS[quality]}\r\n")
 
 
-_LABEL_CODE = {q.value: k for k, q in enumerate(QUALITIES)}
-_OK = QUALITIES.index(Quality.OK)
 _TV_HEADER_LINE = ",".join(TV_HEADER).encode()
 # `load_plain_table` parses only bodies spelled from these bytes (plus
 # the letters a caller adds): digits, signs, points, commas, line ends
@@ -158,7 +156,7 @@ def read_tv_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a TV file into the columns a TvTrajectory holds.
 
     Returns `t` (n,), `values` (n, 6) in TV_NAMES order with NaN for an
-    empty cell, and int8 `quality` codes into QUALITIES.  No unit
+    empty cell, and int8 `quality` codes into QUALITY_LABELS.  No unit
     conversion happens here; values come back as stored, and times are
     not checked against a uniform grid.
 
@@ -229,8 +227,8 @@ def _parse_regular_tv(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
         io.BytesIO(filled),
         _TV_HEADER_LINE,
         len(TV_HEADER),
-        letters="".join(_LABEL_CODE).encode(),
-        converters={label_column: _LABEL_CODE.__getitem__},
+        letters="".join(QUALITY_LABELS).encode(),
+        converters={label_column: QUALITY_LABELS.index},
     )
     if table is None:
         return None
@@ -240,7 +238,7 @@ def _parse_regular_tv(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     # inf, and no empty cell in an Ok frame.
     if (
         np.count_nonzero(~np.isfinite(numbers)) != n_empty
-        or np.isnan(numbers[quality == _OK]).any()
+        or np.isnan(numbers[quality == OK]).any()
     ):
         return None
     return numbers[:, 0], numbers[:, 1:], quality
@@ -269,11 +267,11 @@ def _read_tv_cells(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 values.append(math.nan)
                 empty.append(name)
         label = row[-1].strip()
-        if label not in _LABEL_CODE:
+        if label not in QUALITY_LABELS:
             raise ParseError(f"unknown quality label {label!r}", path, line_no, "quality")
-        if empty and _LABEL_CODE[label] == _OK:
+        if empty and label == QUALITY_LABELS[OK]:
             raise ParseError("empty cell in an Ok frame", path, line_no, empty[0])
-        quality.append(_LABEL_CODE[label])
+        quality.append(QUALITY_LABELS.index(label))
     return (
         np.array(times, dtype=np.float64),
         np.array(values, dtype=np.float64).reshape(-1, len(TV_NAMES)),

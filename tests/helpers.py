@@ -30,7 +30,7 @@ import numpy as np
 
 from tractvar.anatomy import Sex, build_speaker_anatomy
 from tractvar.geometry import Point2D, Polyline
-from tractvar.tract_variables import PELLET_NAMES, QUALITIES, TV_NAMES, PelletFrame
+from tractvar.tract_variables import PELLET_NAMES, QUALITY_LABELS, TV_NAMES, PelletFrame
 from tractvar.tvcsv import read_tv_csv
 
 from reference import points, polyline
@@ -238,4 +238,4 @@ def read_tv_columns(path):
     empty cell) and the quality labels."""
     t, values, quality = read_tv_csv(path)
     columns = dict(zip(TV_NAMES, values.T.tolist()))
-    return t, columns, [QUALITIES[q].value for q in quality]
+    return t, columns, [QUALITY_LABELS[q] for q in quality]

@@ -4,11 +4,14 @@
 once.  The functions here compute one `PelletFrame` at a time with
 scalar IEEE operations in the same order, so the batched engine must
 match them bit for bit, raising the same `DegenerateAngle` wherever
-they raise one.  `nearest` is the point-at-a-time twin of
-`Polyline.nearest_many`, and `circle_polyline_clearance` the scalar
-twin of `circle_polyline_contacts`, and `spread_twice_area` the
-eigensolver twin of `fit_circle`'s collinearity measure.  `points` and
-`polyline` turn a trace's array into `Point2D`s and back.
+they raise one.  A `PelletFrame` is a plain record, read here by its
+pellet fields and its `valid` set of names.  `nearest` is the
+point-at-a-time twin of `Polyline.nearest_many`, `extend_line` the
+segment-at-a-time twin of the array ray cast `extend_line_to_polyline`
+(same floats, same errors), `circle_polyline_clearance` the scalar twin
+of `circle_polyline_contacts`, and `spread_twice_area` the eigensolver
+twin of `fit_circle`'s collinearity measure.  `points` and `polyline`
+turn a trace's array into `Point2D`s and back.
 
 The library keeps no circle object: `fit_circle` returns only its
 center, and `SpeakerAnatomy.reference_center` is that center, both as
@@ -16,9 +19,10 @@ center, and `SpeakerAnatomy.reference_center` is that center, both as
 tongue-body circle, and `fitted_circle`'s, which rebuilds a fit's radius
 with the operations `fit_circle` uses to check it.  The helpers after
 them build trajectories from frames and write pellet files, which only
-tests need.  Last come `anatomy_svg` and `tv_svg`, the figures drawn one
-point at a time in Python floats, which `tractvar.plots` must match byte
-for byte while it computes whole pixel columns.
+tests need; `tv_trajectory` codes each frame's `Quality` by its index
+in `QUALITY_LABELS`.  Last come `anatomy_svg` and `tv_svg`, the figures
+drawn one point at a time in Python floats, which `tractvar.plots` must
+match byte for byte while it computes whole pixel columns.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from tractvar.ingest import PELLET_HEADER, PelletTrajectory
 from tractvar.plots import _ANATOMY_SIZE, _MARGIN, _TRACE_STYLES, _TV_SIZE
 from tractvar.tract_variables import (
     PELLET_NAMES,
-    QUALITIES,
+    QUALITY_LABELS,
     REQUIRED_PELLETS,
     TV_NAMES,
     PelletFrame,
@@ -136,6 +140,46 @@ def nearest(trace: Polyline, px: float, py: float) -> tuple[int, float, float, f
     d2 = ex * ex + ey * ey
     i = int(np.argmin(d2))
     return i, float(d2[i]), float(cx[i]), float(cy[i])
+
+
+def extend_line(
+    a: tuple[float, float], b: tuple[float, float], wall: Polyline
+) -> tuple[float, float]:
+    """`geometry.extend_line_to_polyline` one segment at a time, in
+    Python floats: the first crossing of the ray from `b` away from `a`.
+
+    Raises DataError when the ray misses, ValueError when a == b, with
+    the library's messages.
+    """
+    (ax, ay), (bx, by) = a, b
+    dx = bx - ax
+    dy = by - ay
+    dlen = math.hypot(dx, dy)
+    if dlen == 0.0:
+        raise ValueError("ray direction undefined: a and b coincide")
+    best_t = math.inf
+    pts = wall.xy.tolist()
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        sx = x2 - x1
+        sy = y2 - y1
+        denom = dx * sy - dy * sx
+        if abs(denom) <= 1e-12 * dlen * math.hypot(sx, sy):
+            continue
+        rx = x1 - bx
+        ry = y1 - by
+        t = (rx * sy - ry * sx) / denom
+        u = (rx * dy - ry * dx) / denom
+        if t < -1e-9 or u < -1e-9 or u > 1.0 + 1e-9:
+            continue
+        if t < best_t:
+            best_t = t
+    if best_t == math.inf:
+        raise DataError(
+            f"ray from ({bx:g}, {by:g}) along ({dx:g}, {dy:g}) "
+            f"never meets the trace"
+        )
+    t = max(best_t, 0.0)
+    return bx + t * dx, by + t * dy
 
 
 def point_segment_distance(
@@ -318,8 +362,7 @@ def fallback_tongue_body_tvs(
     """
     best = None
     best_pellet = None
-    for name in ("T2", "T3", "T4"):
-        p = frame.pellet(name)
+    for p in (frame.t2, frame.t3, frame.t4):
         res = point_polyline_clearance(p, anat.extended_palate)
         if best is None or res.distance < best:
             best = res.distance
@@ -418,7 +461,7 @@ def tv_trajectory(frames: Iterable[TractVariableFrame]) -> TvTrajectory:
         ],
         dtype=np.float64,
     ).reshape(len(frames), len(TV_NAMES))
-    quality = np.array([QUALITIES.index(f.quality) for f in frames], dtype=np.int8)
+    quality = np.array([QUALITY_LABELS.index(f.quality.value) for f in frames], dtype=np.int8)
     return TvTrajectory(t, values, quality)
 
 

@@ -263,7 +263,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     for frame in out.frames:
         for name in PELLET_NAMES:
             x0, y0 = base[name]
-            p = frame.pellet(name)
+            p = getattr(frame, name.lower())
             worst_affine = max(
                 worst_affine,
                 abs(p.x - (x0 + a * frame.t)),
@@ -275,7 +275,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     const_out = resample(pellet_trajectory(const_frames), 145.0)
     for frame in const_out.frames:
         for name in PELLET_NAMES:
-            p = frame.pellet(name)
+            p = getattr(frame, name.lower())
             assert (p.x, p.y) == base[name]
 
     # Two frames spanning 1e5 output samples: the grid must not drift.

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import math
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -1145,6 +1147,18 @@ class TestCompare:
         with pytest.raises(DataError, match="^series lengths differ: 3 vs 2$"):
             ppmc([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    def test_ppmc_rejects_a_scalar(self):
+        with pytest.raises(
+            DataError, match=r"^series must be 1-D, got shapes \(\) and \(2,\)$"
+        ):
+            ppmc(1.0, [1.0, 2.0])
+
+    def test_ppmc_names_both_shapes(self):
+        with pytest.raises(
+            DataError, match=r"^series must be 1-D, got shapes \(1, 2\) and \(2,\)$"
+        ):
+            ppmc([[1.0, 2.0]], [1.0, 2.0])
+
     @pytest.mark.parametrize("series, shape", [([], r"\(0,\)"), ([1.0], r"\(1,\)")])
     def test_ppmc_needs_two_samples(self, series, shape):
         with pytest.raises(DataError, match=f"^need at least 2 samples, got {shape}$"):
@@ -1640,11 +1654,62 @@ MANIFEST_VALUES = [
     "a\u0000b", "\ud800", "\udc80.csv", ["\ud800.csv"], "a\nb", "u\r.csv", "\t",
 ]
 
+# What a byte edit swaps in: tokens that float(), csv, UTF-8 and JSON each
+# treat their own way.
+BYTE_TOKENS = [b"nan", b"1e999", b"\xff", b"\x00", b"\xef\xbb\xbf", b'"', b'"0"', b"1_0"]
+
+
+@dataclass(frozen=True)
+class ByteEdit:
+    """Edit: one mutation of a file's bytes, at the offset, line or cell
+    that `i` and `j` pick modulo the file's own sizes."""
+
+    kind: str
+    i: int
+    j: int
+    token: bytes
+
+    def __call__(self, data: bytes) -> bytes:
+        k = self.i % (len(data) + 1)
+        if self.kind == "truncate":
+            return data[:k]
+        if self.kind == "flip":
+            if not data:
+                return data
+            k %= len(data)
+            return data[:k] + bytes([data[k] ^ (1 << self.j % 8)]) + data[k + 1 :]
+        if self.kind == "token":
+            return data[:k] + self.token + data[k + self.j % 4 :]
+        lines = data.split(b"\n")
+        i, j = self.i % len(lines), self.j % len(lines)
+        if self.kind == "swap lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif self.kind == "duplicate line":
+            lines.insert(i, lines[i])
+        else:  # "cell"
+            cells = lines[i].split(b",")
+            cells[self.j % len(cells)] = self.token
+            lines[i] = b",".join(cells)
+        return b"\n".join(lines)
+
+
+BYTE_EDITS = st.builds(
+    ByteEdit,
+    kind=st.sampled_from(["truncate", "flip", "token", "swap lines", "duplicate line", "cell"]),
+    i=st.integers(0, 1 << 16),
+    j=st.integers(0, 63),
+    token=st.sampled_from(BYTE_TOKENS),
+)
+
 
 class TestCliContract:
     """Whatever the arguments and files, `main` returns 0, 1 or 2 without
     raising, logs only one-line `LEVEL name: message` records, and leaves
-    no temporary file and no truncated output."""
+    no temporary file and no truncated output.  A `run` of a corpus with
+    one input edited byte by byte keeps its outputs apart: an edited
+    pellet file leaves the other utterance's TV file as a clean run
+    writes it, and on exit 0 every speaker has its anatomy and every
+    utterance its TV file or one ERROR line."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -1658,11 +1723,27 @@ class TestCliContract:
         (root / "tv" / "synth.anatomy.json").unlink()
         return root
 
+    @pytest.fixture(scope="class")
+    def clean_tv(self, corpus, tmp_path_factory):
+        """utt01's TV file bytes from a `run` of the unedited corpus with
+        the given flags."""
+        @functools.cache
+        def run(flags):
+            out = tmp_path_factory.mktemp("clean")
+            manifest = corpus / "data" / "manifest.json"
+            argv = ["run", "--manifest", str(manifest), "--out", str(out)]
+            assert main(argv + [token for flag in flags for token in flag]) == 0
+            return (out / "utt01.tv.csv").read_bytes()
+        return run
+
     @staticmethod
     def edit_files(work, edits):
         for target, edit in edits:
             path = work / target
             if not path.exists():
+                continue
+            if isinstance(edit, ByteEdit):
+                path.write_bytes(edit(path.read_bytes()))
                 continue
             text = path.read_text(errors="surrogateescape")
             if isinstance(edit, tuple):
@@ -1741,6 +1822,11 @@ class TestCliContract:
                     st.sampled_from(sorted(FILE_EDITS)),
                 ),
                 st.tuples(
+                    st.sampled_from(["data/palate.csv", "data/wall.csv",
+                                     "data/utt00.csv", "data/manifest.json"]),
+                    BYTE_EDITS,
+                ),
+                st.tuples(
                     st.just("data/manifest.json"),
                     st.tuples(
                         st.sampled_from([None, "speaker_id", "sex", "thickness_mm",
@@ -1782,27 +1868,79 @@ class TestCliContract:
                         del argv[k]
                     else:
                         argv[k] = token
-            before = {p: p.stat().st_mtime_ns for p in work.rglob("*") if p.is_file()}
-            caplog.clear()
-            capsys.readouterr()
+            self.run_main(work, argv, caplog, capsys)
 
-            rc = main(argv)
+    @settings(
+        max_examples=150,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        target=st.sampled_from(["data/utt00.csv", "data/utt00.csv", "data/palate.csv",
+                                "data/wall.csv", "data/manifest.json"]),
+        edits=st.lists(BYTE_EDITS, min_size=1, max_size=2),
+        flags=st.sampled_from([(), (), (), (), (), (("--degrees",), ("--clamp-tbcd",)),
+                               (("--rate", "72.5"), ("--plots",)),
+                               (("--parallelism", "2"),)]),
+    )
+    def test_byte_edits_keep_run_outputs_apart(
+        self, corpus, clean_tv, tmp_path, monkeypatch, caplog, capsys,
+        target, edits, flags,
+    ):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            work = Path(scratch)
+            monkeypatch.chdir(work)
+            shutil.copytree(corpus / "data", work / "data")
+            self.edit_files(work, [(target, edit) for edit in edits])
+            rc = self.run_main(work, self.argv_for(work, "run", flags, "out", None),
+                               caplog, capsys)
+            if target == "data/utt00.csv":
+                assert (work / "out" / "utt01.tv.csv").read_bytes() == clean_tv(flags)
+            if rc == 0:
+                # One failed utterance still exits 0.
+                self.check_planned_outputs(work, caplog.records)
 
-            assert rc in (0, 1, 2)
-            assert capsys.readouterr().err == ""
-            for r in caplog.records:
-                line = f"{r.levelname} {r.name}: {r.getMessage()}"
-                assert re.fullmatch(r"(DEBUG|INFO|WARNING|ERROR) tractvar(\.\w+)+: [^\n]+", line)
-            written = [p for p in work.rglob("*") if p.is_file()
-                       and before.get(p) != p.stat().st_mtime_ns]
-            assert [p for p in written if p.name.endswith(".tmp")] == []
-            for path in written:
-                if path.name.endswith(".tv.csv"):
-                    read_tv_csv(path)
-                elif path.suffix == ".json":
-                    json.loads(path.read_text())
-                elif path.suffix == ".svg":
-                    assert path.read_text().endswith("</svg>")
+    @staticmethod
+    def run_main(work, argv, caplog, capsys):
+        """Run `main` and check the contract; returns its exit code."""
+        before = {p: p.stat().st_mtime_ns for p in work.rglob("*") if p.is_file()}
+        caplog.clear()
+        capsys.readouterr()
+
+        rc = main(argv)
+
+        assert rc in (0, 1, 2)
+        assert capsys.readouterr().err == ""
+        for r in caplog.records:
+            line = f"{r.levelname} {r.name}: {r.getMessage()}"
+            assert re.fullmatch(r"(DEBUG|INFO|WARNING|ERROR) tractvar(\.\w+)+: [^\n]+", line)
+        written = [p for p in work.rglob("*") if p.is_file()
+                   and before.get(p) != p.stat().st_mtime_ns]
+        assert [p for p in written if p.name.endswith(".tmp")] == []
+        for path in written:
+            if path.name.endswith(".tv.csv"):
+                read_tv_csv(path)
+            elif path.suffix == ".json":
+                json.loads(path.read_text())
+            elif path.suffix == ".svg":
+                assert path.read_text().endswith("</svg>")
+        return rc
+
+    @staticmethod
+    def check_planned_outputs(work, records):
+        """Every speaker of the manifest has its anatomy JSON in `out`, and
+        every utterance its TV file or exactly one ERROR line naming it."""
+        data = work / "data"
+        entries = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        errors = [r.getMessage() for r in records if r.levelno == logging.ERROR]
+        for entry in entries if isinstance(entries, list) else [entries]:
+            assert (work / "out" / f"{entry['speaker_id']}.anatomy.json").is_file()
+            for name in entry["utterances"]:
+                if not (work / "out" / f"{Path(name).stem}.tv.csv").is_file():
+                    named = [e for e in errors if e.startswith(f"utterance {data / name}:")]
+                    assert len(named) == 1, (name, errors)
 
 
 class TestTranslatedSession:

@@ -32,6 +32,7 @@ from reference import (
     points,
     polyline,
 )
+from helpers import synthetic_anatomy
 
 
 # `reference.circumcircle`'s message for a flat triple, up to its area, as a regex.
@@ -533,7 +534,9 @@ class TestExtendLineToPolyline:
         hit = extend_line_to_polyline((-10, 0), (-20, 0), wall)
         assert hit[0] == pytest.approx(-40.0, abs=1e-12)
 
-    def test_residuals_random(self):
+    @staticmethod
+    def seeded_rays():
+        """300 seeded walls, each with a ray (a -> inner) aimed at it."""
         rng = np.random.default_rng(41)
         for _ in range(300):
             ys = np.sort(rng.uniform(-40, 40, 5))[::-1]
@@ -541,6 +544,10 @@ class TestExtendLineToPolyline:
             a = P(rng.uniform(-20, -10), rng.uniform(0, 20))
             target_y = rng.uniform(float(ys[-1]) + 1, float(ys[0]) - 1)
             inner = P(rng.uniform(-45, -30), target_y)
+            yield a, inner, wall
+
+    def test_residuals_random(self):
+        for a, inner, wall in self.seeded_rays():
             try:
                 hit = P(*extend_line_to_polyline((a.x, a.y), (inner.x, inner.y), wall))
             except DataError as exc:
@@ -556,6 +563,49 @@ class TestExtendLineToPolyline:
                 hit.y - inner.y
             )
             assert dot >= -1e-9
+
+    @staticmethod
+    def outcome(cast, a, b, wall):
+        """The hit's coordinates as hex strings (so -0.0 differs from 0.0),
+        or the class and text of the error."""
+        try:
+            hit = cast(a, b, wall)
+        except (DataError, ValueError) as exc:
+            return type(exc), str(exc)
+        assert [type(v) for v in hit] == [float, float]
+        return tuple(v.hex() for v in hit)
+
+    def test_matches_the_segment_at_a_time_twin(self):
+        anat = synthetic_anatomy()
+        cases = []
+        # Every palate chord, either way, against both walls: the
+        # junction ray among them, and many misses.
+        pts = anat.palate.xy.tolist()
+        for p, q in zip(pts, pts[1:]):
+            for wall in (anat.anterior_wall, anat.posterior_wall):
+                cases += [(p, q, wall), (q, p, wall)]
+        cases += [((a.x, a.y), (b.x, b.y), wall) for a, b, wall in self.seeded_rays()]
+        vertical = polyline([P(-74.2, 40.0), P(-74.2, -40.0)])
+        corner = polyline([P(-40, 10), P(-40, 0), P(-50, -10)])
+        along = polyline([P(-30, 5), P(-30, 0), P(-50, 0), P(-60, 0), P(-60, -5)])
+        cases += [
+            ((-20, 15), (-20, 10), vertical),  # parallel: misses
+            ((-35, 0), (-40, 0), along),  # segments along the ray are skipped
+            ((-35, 1), (-40, 1), along),  # and so are those beside it
+            ((-70, 10), (-74.2, 9.0), vertical),  # hit at t = 0
+            ((-70, 10), (-74.20000000001, 9.0), vertical),  # t just below 0
+            ((1.0, 0.0), (-0.0, 0.0), polyline([P(0, 5), P(0, -5)])),
+            ((-10, 0), (-20, 0), corner),  # hit exactly on a segment end
+            ((-10, 10), (-20, 10), corner),  # hit exactly on the first point
+            ((-20, 15), (-20, 15), vertical),  # a == b
+            ((1e308, 1e308), (-1e308, -1e308), vertical),  # overflowing direction
+        ]
+        kinds = set()
+        for a, b, wall in cases:
+            expected = self.outcome(reference.extend_line, a, b, wall)
+            assert self.outcome(extend_line_to_polyline, a, b, wall) == expected
+            kinds.add(expected[0] if isinstance(expected[0], type) else "hit")
+        assert kinds == {"hit", DataError, ValueError}
 
 
 class TestAngleFromReference:

@@ -246,9 +246,9 @@ class TestParsePelletFile:
         write_pellet_csv(path, pellet_rows(5, invalid={2: ("T1",), 3: ("T1", "MNM")}))
         traj, report = parse_pellet_file(path)
         assert report.frames_mistracked == 2
-        assert not traj.frames[2].is_valid("T1")
-        assert traj.frames[2].is_valid("T2")
-        assert not traj.frames[3].is_valid("MNM")
+        assert "T1" not in traj.frames[2].valid
+        assert "T2" in traj.frames[2].valid
+        assert "MNM" not in traj.frames[3].valid
         assert traj.frames[0].valid == frozenset(PELLET_NAMES)
 
     def test_sentinel_threshold_boundary(self, tmp_path):
@@ -262,9 +262,9 @@ class TestParsePelletFile:
         rows[1] = (rows[1][0], coords)
         write_pellet_csv(path, rows)
         traj, _ = parse_pellet_file(path)
-        assert not traj.frames[1].is_valid("UL")
-        assert traj.frames[1].is_valid("LL")
-        assert not traj.frames[1].is_valid("T4")
+        assert "UL" not in traj.frames[1].valid
+        assert "LL" in traj.frames[1].valid
+        assert "T4" not in traj.frames[1].valid
 
 
 class TestWritePelletFile:
@@ -280,8 +280,8 @@ class TestWritePelletFile:
             assert b.t == a.t
             assert b.valid == a.valid
             for name in PELLET_NAMES:
-                if a.is_valid(name):
-                    assert b.pellet(name) == a.pellet(name)
+                if name in a.valid:
+                    assert getattr(b, name.lower()) == getattr(a, name.lower())
 
     def test_invalid_pellets_written_as_sentinel(self, tmp_path):
         frames = (make_frame(0.0), make_frame(0.01, invalid={"T3"}))
@@ -596,7 +596,7 @@ class TestResample:
         out = resample(traj, 145.0)
         for frame in out.frames:
             for name in PELLET_NAMES:
-                p = frame.pellet(name)
+                p = getattr(frame, name.lower())
                 assert (p.x, p.y) == coords[name]
 
     def test_affine_signal_reproduced(self):
@@ -614,7 +614,7 @@ class TestResample:
         for frame in out.frames:
             for name in PELLET_NAMES:
                 x0, y0 = base[name]
-                p = frame.pellet(name)
+                p = getattr(frame, name.lower())
                 assert p.x == pytest.approx(x0 + a * frame.t, abs=1e-9)
                 assert p.y == pytest.approx(y0 + b * frame.t, abs=1e-9)
 
@@ -627,21 +627,21 @@ class TestResample:
             assert new.t == raw.t
             assert new.valid == raw.valid
             for name in PELLET_NAMES:
-                if raw.is_valid(name):
-                    assert new.pellet(name) == raw.pellet(name)
+                if name in raw.valid:
+                    assert getattr(new, name.lower()) == getattr(raw, name.lower())
 
     def test_invalid_sample_contaminates_enclosing_intervals(self):
         traj = self.make_traj(81, 80.0, invalid={40: {"T2"}})
         out = resample(traj, 145.0)
         raw_times = [f.t for f in traj.frames]
-        raw_valid = [f.is_valid("T2") for f in traj.frames]
+        raw_valid = ["T2" in f.valid for f in traj.frames]
         flagged = set()
         for k, frame in enumerate(out.frames):
             expect = oracle_validity(raw_times, raw_valid, frame.t)
-            assert frame.is_valid("T2") == expect, f"frame {k} at t={frame.t}"
+            assert ("T2" in frame.valid) == expect, f"frame {k} at t={frame.t}"
             if not expect:
                 flagged.add(k)
-            assert frame.is_valid("T3")
+            assert "T3" in frame.valid
         # Raw sample 40 sits at 0.5 s; the touched intervals cover
         # [39/80, 41/80] which contains grid samples 71..74 only.
         assert flagged == {71, 72, 73, 74}
@@ -662,7 +662,7 @@ class TestResample:
         out = resample(traj, 160.0)
         x0, _ = base["T2"]
         for frame in out.frames:
-            assert abs(frame.pellet("T2").x - (x0 + frame.t)) < 1e-9
+            assert abs(frame.t2.x - (x0 + frame.t)) < 1e-9
 
     def test_interpolated_counter(self):
         # Grid times k/145 meet input times m/80 only when k is a multiple

@@ -14,7 +14,7 @@ from helpers import (
     write_pellet_csv,
     write_trace_csv,
 )
-from tractvar.tract_variables import QUALITIES, TV_NAMES, Quality
+from tractvar.tract_variables import OK, TV_NAMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,7 +38,7 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
 
     tvs = namespace["tvs"]
     assert len(tvs) == 30
-    assert (tvs.quality == QUALITIES.index(Quality.OK)).all()
+    assert (tvs.quality == OK).all()
     expected = np.array([EXPECTED_TV[name] for name in TV_NAMES])
     assert np.allclose(tvs.values, expected, atol=5e-3)
 

@@ -11,7 +11,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tractvar.errors import ParseError, TractvarError
 from tractvar.ingest import PELLET_HEADER, TRACE_HEADER, parse_pellet_file, parse_trace_file
-from tractvar.tract_variables import QUALITIES, Quality, TvTrajectory
+from tractvar.tract_variables import (
+    DEGENERATE_TONGUE,
+    MISSING_PELLET,
+    OK,
+    QUALITY_LABELS,
+    TvTrajectory,
+)
 from tractvar.tvcsv import (
     ANGLE_NAMES,
     TV_HEADER,
@@ -25,9 +31,6 @@ from tractvar.tvcsv import (
 
 from reference import points
 
-OK = QUALITIES.index(Quality.OK)
-MISSING = QUALITIES.index(Quality.MISSING_PELLET)
-DEGENERATE = QUALITIES.index(Quality.DEGENERATE_TONGUE)
 HEADER = ",".join(TV_HEADER)
 
 
@@ -37,9 +40,9 @@ def sample_trajectory(n=6):
     rng = np.random.default_rng(5)
     values = rng.normal(scale=20.0, size=(n, 6))
     quality = np.full(n, OK, dtype=np.int8)
-    quality[1:2] = MISSING
+    quality[1:2] = MISSING_PELLET
     values[1:2, :2] = math.nan
-    quality[4:5] = DEGENERATE
+    quality[4:5] = DEGENERATE_TONGUE
     values[4:5, 2:] = math.nan
     return TvTrajectory(np.arange(n) / 145.0, values, quality)
 
@@ -103,7 +106,7 @@ class TestReadTvCsv:
         assert _parse_regular_tv(path.read_bytes()) is not None
         _, values, quality = read_tv_csv(path)
         assert math.isnan(values[2, 0])
-        assert quality[2] == MISSING
+        assert quality[2] == MISSING_PELLET
 
     @pytest.mark.parametrize("row", ["0.0,1,2,3,4,5,6", "0.0,1,2,3,4,5,6,Ok,"])
     def test_row_without_eight_fields(self, tmp_path, row):
@@ -159,7 +162,7 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("extra"), st.integers(0, 8), st.sampled_from(["", "1.0", "Ok"])),
     st.tuples(st.just("trailing comma"), st.none(), st.none()),
     st.tuples(st.just("blank line"), st.none(), st.sampled_from(["", " ", ","])),
-    st.tuples(st.just("quality"), st.none(), st.sampled_from(QUALITIES)),
+    st.tuples(st.just("quality"), st.none(), st.sampled_from(QUALITY_LABELS)),
 )
 
 
@@ -185,7 +188,7 @@ def mutate(lines, row, edit):
     elif kind == "trailing comma":
         fields.append("")
     elif kind == "quality":
-        fields[-1] = token.value
+        fields[-1] = token
     lines[row] = ",".join(fields)
 
 
@@ -231,10 +234,8 @@ def trajectories(draw):
     values = np.array(
         draw(st.lists(finite, min_size=6 * n, max_size=6 * n)), dtype=np.float64
     ).reshape(n, 6)
-    quality = np.array(
-        draw(st.lists(st.sampled_from([OK, MISSING, DEGENERATE]), min_size=n, max_size=n)),
-        dtype=np.int8,
-    )
+    codes = st.sampled_from([OK, MISSING_PELLET, DEGENERATE_TONGUE])
+    quality = np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.int8)
     absent = np.array(
         draw(st.lists(st.booleans(), min_size=6 * n, max_size=6 * n)), dtype=bool
     ).reshape(n, 6)
@@ -380,7 +381,7 @@ def test_every_reader_shares_the_row_checks(tmp_path, reader, case):
     trajectory=TvTrajectory(
         np.array([0.0, 0.5]),
         np.array([[1.0, 2.0, math.nan, 3.0, -0.0, math.nan], [4.0, 5.0, 1e308, 6.0, 0.5, 7.0]]),
-        np.array([MISSING, OK], dtype=np.int8),
+        np.array([MISSING_PELLET, OK], dtype=np.int8),
     )
 )
 def test_degrees_writer_converts_each_angle_as_math_degrees(tmp_path, trajectory):
@@ -394,7 +395,7 @@ def test_degrees_writer_converts_each_angle_as_math_degrees(tmp_path, trajectory
         for name, v in zip(TV_NAMES, values):
             cells.append(math.degrees(v) if name in ANGLE_NAMES else v)
         text = ",".join(repr(v) if v == v else "" for v in cells)
-        expected.append(f"{text},{QUALITIES[quality].value}")
+        expected.append(f"{text},{QUALITY_LABELS[quality]}")
     path = tmp_path / "utt.tv.csv"
     write_tv_csv(trajectory, path, degrees=True)
     assert path.read_bytes().decode() == "".join(line + "\r\n" for line in expected)
