@@ -16,12 +16,7 @@ from .anatomy import (
     palatal_reference_center,
 )
 from .compare import ComparisonReport, compare_tvs, ppmc
-from .geometry import (
-    Point2D,
-    Polyline,
-    extend_line_to_polyline,
-    fit_circle,
-)
+from .geometry import Polyline, extend_line_to_polyline, fit_circle
 from .ingest import (
     IngestReport,
     PelletTrajectory,
@@ -31,13 +26,7 @@ from .ingest import (
     resample,
 )
 from .pipeline import RunConfig, run_pipeline
-from .tract_variables import (
-    PelletFrame,
-    Quality,
-    TractVariableFrame,
-    TvTrajectory,
-    compute_trajectory,
-)
+from .tract_variables import TvTrajectory, compute_trajectory
 
 __version__ = "0.1.0"
 
@@ -48,15 +37,11 @@ __all__ = [
     "DegenerateAngle",
     "IngestReport",
     "ParseError",
-    "PelletFrame",
     "PelletTrajectory",
-    "Point2D",
     "Polyline",
-    "Quality",
     "RunConfig",
     "Sex",
     "SpeakerAnatomy",
-    "TractVariableFrame",
     "TractvarError",
     "TvTrajectory",
     "build_speaker_anatomy",

@@ -16,8 +16,8 @@ computation needs:
 Every trace, measured or derived, is a `Polyline`, whose `.xy` holds
 its points as one (n, 2) array of (x, y) rows; the derivations below
 work on those arrays whole.  A single position, the junction or the
-reference center, is a plain `(x, y)` pair of floats; `Point2D` is only
-the field type of the per-frame objects.
+reference center, is a plain `(x, y)` pair of floats, as is every
+position in the package.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ in one process; the argument parser is built once.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -147,7 +148,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return EXIT_CONFIG
     report = compare_tvs(args.file_a, args.file_b)
     if args.json is not None:
-        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
         with open_atomic(args.json) as fh:
             fh.write(text)
     print(format_table(report))

@@ -19,11 +19,15 @@ def ppmc(a, b) -> float:
 
     The result is clamped onto [-1, 1]; floating-point overshoot beyond
     that never exceeds ~1e-16 for centered sums.  Raises DataError when
-    a series is not 1-D, for unequal or too-short series, when either
-    side holds a NaN or infinity, and when either side is constant.
+    a series is ragged, holds something other than numbers or is not
+    1-D, for unequal or too-short series, when either side holds a NaN
+    or infinity, and when either side is constant.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
+    try:
+        x = np.asarray(a, dtype=np.float64)
+        y = np.asarray(b, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"series must be 1-D sequences of numbers ({exc})") from None
     if x.ndim != 1 or y.ndim != 1:
         raise DataError(f"series must be 1-D, got shapes {x.shape} and {y.shape}")
     if len(x) != len(y):
@@ -49,13 +53,6 @@ class ComparisonReport:
     scores: dict[str, float]
     average: float
     n_frames_compared: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scores": dict(self.scores),
-            "average": self.average,
-            "n_frames_compared": self.n_frames_compared,
-        }
 
 
 def compare_tvs(path_a, path_b) -> ComparisonReport:

@@ -9,9 +9,8 @@ radians on (-pi, pi].
 A trace is a `Polyline`, which holds its points as one read-only (n, 2)
 float64 array of (x, y) rows, `.xy`; trace readers, the anatomy
 derivations and the writers all work on that array.  A single position,
-such as the center `fit_circle` returns, is a plain `(x, y)` pair of
-floats.  `Point2D` is only the field type of the per-frame objects
-(`PelletFrame`).
+such as the center `fit_circle` returns or a pellet of a `PelletFrame`,
+is a plain `(x, y)` pair of floats.
 
 `Polyline` precomputes per-segment arrays once, and no query loops over
 segments in Python.  `nearest_many` answers whole blocks of points at a
@@ -24,7 +23,6 @@ once.  The test suite keeps a scalar twin of each (`nearest` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +50,6 @@ NEAREST_CHUNK = 64
 def hypot_each(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """`math.hypot` per element (np.hypot can differ by one ulp)."""
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), np.float64, len(x))
-
-
-@dataclass(frozen=True, slots=True)
-class Point2D:
-    """A position in the midsagittal plane, in millimeters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
 
 
 class Polyline:

@@ -37,7 +37,7 @@ from .errors import (
     DataError,
     ParseError,
 )
-from .geometry import Point2D, Polyline
+from .geometry import Polyline
 from .tract_variables import PELLET_NAMES, REQUIRED_PELLETS, PelletFrame
 from .tvcsv import csv_rows, load_plain_table, parse_float
 
@@ -68,11 +68,11 @@ class PelletTrajectory:
     `resample` own that, and the constructor checks nothing.  `xy` has
     shape (n, 8, 2): millimeter coordinates of each pellet in PELLET_NAMES
     order.  `valid` has shape (n, 8); positions where it is False must not
-    be read.  `frames` presents the same samples as PelletFrame objects;
-    it is built on first use and cached.  Treat the arrays as read-only.
+    be read.  `frames` presents the same samples as PelletFrame objects,
+    built afresh on each use.  Treat the arrays as read-only.
     """
 
-    __slots__ = ("utterance_id", "t", "xy", "valid", "_frames")
+    __slots__ = ("utterance_id", "t", "xy", "valid")
 
     def __init__(
         self, utterance_id: str, t: np.ndarray, xy: np.ndarray, valid: np.ndarray
@@ -81,25 +81,20 @@ class PelletTrajectory:
         self.t = t
         self.xy = xy
         self.valid = valid
-        self._frames = None
 
     def __len__(self) -> int:
         return len(self.t)
 
     @property
     def frames(self) -> tuple[PelletFrame, ...]:
-        if self._frames is None:
-            self._frames = tuple(
-                PelletFrame(
-                    t,
-                    *(Point2D(x, y) for x, y in pellets),
-                    valid=frozenset(compress(PELLET_NAMES, flags)),
-                )
-                for t, pellets, flags in zip(
-                    self.t.tolist(), self.xy.tolist(), self.valid.tolist()
-                )
+        return tuple(
+            PelletFrame(
+                t, *map(tuple, pellets), valid=frozenset(compress(PELLET_NAMES, flags))
             )
-        return self._frames
+            for t, pellets, flags in zip(
+                self.t.tolist(), self.xy.tolist(), self.valid.tolist()
+            )
+        )
 
 
 @dataclass

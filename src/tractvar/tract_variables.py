@@ -15,7 +15,8 @@ Six variables are produced per frame:
 Degrees are in millimeters, locations in radians.  A frame with invalid
 pellets or a collinear tongue is flagged by its int8 quality code, an
 index into QUALITY_LABELS; a variable it lacks is NaN, never a silent
-zero.  `Quality` and the frame records only type the `.frames` views.
+zero.  `Quality` and the frame records only type the `.frames` views,
+which no part of the program reads.
 
 `compute_trajectory` is the engine: it works on whole columns at once.
 The test suite keeps a per-frame engine (`compute_frame` in
@@ -40,7 +41,6 @@ from .geometry import (
     CENTER_ON_TRACE,
     MIN_ANGLE_RADIUS,
     TOL_COLLINEAR,
-    Point2D,
     circle_polyline_contacts,
     hypot_each,
 )
@@ -81,19 +81,19 @@ OK, DEGENERATE_TONGUE, MISSING_PELLET = range(len(QUALITY_LABELS))
 
 @dataclass(frozen=True, slots=True)
 class PelletFrame:
-    """One time sample of the eight tracked pellets: the record that
-    `PelletTrajectory.frames` presents.  `valid` holds the names of the
-    pellets whose positions can be trusted."""
+    """One time sample of the eight tracked pellets, each an (x, y) pair:
+    the record that `PelletTrajectory.frames` presents.  `valid` holds
+    the names of the pellets whose positions can be trusted."""
 
     t: float
-    ul: Point2D
-    ll: Point2D
-    t1: Point2D
-    t2: Point2D
-    t3: Point2D
-    t4: Point2D
-    mni: Point2D
-    mnm: Point2D
+    ul: tuple[float, float]
+    ll: tuple[float, float]
+    t1: tuple[float, float]
+    t2: tuple[float, float]
+    t3: tuple[float, float]
+    t4: tuple[float, float]
+    mni: tuple[float, float]
+    mnm: tuple[float, float]
     valid: frozenset[str]
 
 
@@ -123,35 +123,32 @@ class TvTrajectory:
     in TV_NAMES order, with NaN for an absent variable (computed values
     are always finite).  `quality` has shape (n,) and holds int8 codes
     into QUALITY_LABELS.  `frames` presents the same data as
-    TractVariableFrame objects; it is built on first use and cached.
-    Treat the arrays as read-only.
+    TractVariableFrame objects, built afresh on each use.  Treat the
+    arrays as read-only.
     """
 
-    __slots__ = ("t", "values", "quality", "_frames")
+    __slots__ = ("t", "values", "quality")
 
     def __init__(self, t: np.ndarray, values: np.ndarray, quality: np.ndarray) -> None:
         self.t = t
         self.values = values
         self.quality = quality
-        self._frames = None
 
     def __len__(self) -> int:
         return len(self.t)
 
     @property
     def frames(self) -> tuple[TractVariableFrame, ...]:
-        if self._frames is None:
-            self._frames = tuple(
-                TractVariableFrame(
-                    ti,
-                    *(None if v != v else v for v in row),
-                    quality=Quality(QUALITY_LABELS[q]),
-                )
-                for ti, row, q in zip(
-                    self.t.tolist(), self.values.tolist(), self.quality.tolist()
-                )
+        return tuple(
+            TractVariableFrame(
+                ti,
+                *(None if v != v else v for v in row),
+                quality=Quality(QUALITY_LABELS[q]),
             )
-        return self._frames
+            for ti, row, q in zip(
+                self.t.tolist(), self.values.tolist(), self.quality.tolist()
+            )
+        )
 
 
 def _angles(

@@ -41,8 +41,9 @@ ANGLE_NAMES = frozenset(("TBCL", "TTCL"))
 
 
 @contextmanager
-def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open `path` for writing text through a temporary file beside it.
+def open_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Open `path` for writing UTF-8 text through a temporary file beside
+    it, with no newline translation: the caller's line ends are the file's.
 
     The temporary file replaces `path` only when the block completes; if
     the block raises, it is removed and `path` is left as it was.  A
@@ -58,7 +59,7 @@ def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         name = name[: -len(suffix) - 1]
     tmp = path.with_name(f".{name}{suffix}")
     try:
-        fh = open(tmp, "w", newline=newline, encoding="utf-8")
+        fh = open(tmp, "w", newline="", encoding="utf-8")
     except OSError as exc:
         # The temporary name is ours; the caller asked for `path`.
         raise OSError(exc.errno, exc.strerror, str(path)) from None
@@ -83,7 +84,7 @@ def write_tv_csv(
                 with np.errstate(over="ignore"):
                     columns[k] = np.degrees(trajectory.values[:, k]).tolist()
     rows = zip(trajectory.t.tolist(), *columns, trajectory.quality.tolist())
-    with open_atomic(path, newline="") as fh:
+    with open_atomic(path) as fh:
         fh.write(",".join(TV_HEADER) + "\r\n")
         for t, *values, quality in rows:
             cells = [repr(v) if v == v else "" for v in values]

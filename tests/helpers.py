@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from tractvar.anatomy import Sex, build_speaker_anatomy
-from tractvar.geometry import Point2D, Polyline
+from tractvar.geometry import Polyline
 from tractvar.tract_variables import PELLET_NAMES, QUALITY_LABELS, TV_NAMES, PelletFrame
 from tractvar.tvcsv import read_tv_csv
 
-from reference import points, polyline
+from reference import Point2D, points, polyline
 
 PALATE_CENTER = (-30.0, -5.0)
 PALATE_RADIUS = 35.0

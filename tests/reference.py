@@ -4,8 +4,9 @@
 once.  The functions here compute one `PelletFrame` at a time with
 scalar IEEE operations in the same order, so the batched engine must
 match them bit for bit, raising the same `DegenerateAngle` wherever
-they raise one.  A `PelletFrame` is a plain record, read here by its
-pellet fields and its `valid` set of names.  `nearest` is the
+they raise one.  A `PelletFrame` is a plain record of (x, y) pairs and
+a `valid` set of names; `compute_frame` wraps each pair in `Point2D`,
+the named pair every scalar function here reads.  `nearest` is the
 point-at-a-time twin of `Polyline.nearest_many`, `extend_line` the
 segment-at-a-time twin of the array ray cast `extend_line_to_polyline`
 (same floats, same errors), `circle_polyline_clearance` the scalar twin
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from tractvar.errors import DataError, DegenerateAngle
 from tractvar.geometry import (
     MIN_ANGLE_RADIUS,
     TOL_COLLINEAR,
-    Point2D,
     Polyline,
     fit_circle,
 )
@@ -60,6 +60,14 @@ from tractvar.tract_variables import (
 
 # Value written back out for invalid pellets.
 SENTINEL_OUT = 1e6
+
+
+class Point2D(NamedTuple):
+    """A position in the midsagittal plane, in millimeters, as an (x, y)
+    pair whose fields have names."""
+
+    x: float
+    y: float
 
 
 class CollinearPoints(DataError):
@@ -390,6 +398,11 @@ def compute_frame(
     invalid, DEGENERATE_TONGUE when the collinear fallback was engaged,
     OK otherwise.
     """
+    frame = PelletFrame(
+        frame.t,
+        *(Point2D(*getattr(frame, name.lower())) for name in PELLET_NAMES),
+        valid=frame.valid,
+    )
     valid = frame.valid
     la = lp = tbcl = tbcd = ttcl = ttcd = None
     degenerate = False

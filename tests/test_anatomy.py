@@ -23,9 +23,8 @@ from tractvar.anatomy import (
     palatal_reference_center,
 )
 from tractvar.errors import DataError
-from tractvar.geometry import Point2D
 
-from reference import distance, points, polyline
+from reference import Point2D, distance, points, polyline
 
 
 def P(x, y):

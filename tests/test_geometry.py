@@ -11,7 +11,6 @@ from tractvar import geometry
 from tractvar.errors import DataError, DegenerateAngle
 from tractvar.geometry import (
     MIN_ANGLE_RADIUS,
-    Point2D,
     Polyline,
     circle_polyline_contacts,
     extend_line_to_polyline,
@@ -22,6 +21,7 @@ import reference
 from reference import (
     Circle,
     ClearanceResult,
+    Point2D,
     angle_from_reference,
     circumcircle,
     coords,
@@ -43,18 +43,6 @@ def P(x, y):
     return Point2D(x, y)
 
 
-class TestPoint2D:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            P(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            P(0.0, float("inf"))
-
-    def test_is_immutable(self):
-        with pytest.raises(AttributeError):
-            P(1.0, 2.0).x = 3.0
-
-
 class TestPolyline:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -63,6 +51,12 @@ class TestPolyline:
     def test_rejects_repeated_consecutive_points(self):
         with pytest.raises(ValueError):
             polyline([P(0, 0), P(0, 0), P(1, 1)])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match=r"^non-finite coordinates \(nan, 0\.0\)$"):
+            polyline([P(0, 0), P(float("nan"), 0.0)])
+        with pytest.raises(ValueError, match=r"^non-finite coordinates \(0\.0, inf\)$"):
+            polyline([P(0.0, float("inf")), P(1, 1)])
 
     def test_cannot_change_after_construction(self):
         xy = np.array([[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])

@@ -596,8 +596,7 @@ class TestResample:
         out = resample(traj, 145.0)
         for frame in out.frames:
             for name in PELLET_NAMES:
-                p = getattr(frame, name.lower())
-                assert (p.x, p.y) == coords[name]
+                assert getattr(frame, name.lower()) == coords[name]
 
     def test_affine_signal_reproduced(self):
         # Linear interpolation is exact for affine signals, so resampling
@@ -614,9 +613,9 @@ class TestResample:
         for frame in out.frames:
             for name in PELLET_NAMES:
                 x0, y0 = base[name]
-                p = getattr(frame, name.lower())
-                assert p.x == pytest.approx(x0 + a * frame.t, abs=1e-9)
-                assert p.y == pytest.approx(y0 + b * frame.t, abs=1e-9)
+                x, y = getattr(frame, name.lower())
+                assert x == pytest.approx(x0 + a * frame.t, abs=1e-9)
+                assert y == pytest.approx(y0 + b * frame.t, abs=1e-9)
 
     def test_exact_grid_hits_reproduce_input(self):
         # Input already on the 145 Hz grid: output frames must be copies.
@@ -662,7 +661,7 @@ class TestResample:
         out = resample(traj, 160.0)
         x0, _ = base["T2"]
         for frame in out.frames:
-            assert abs(frame.t2.x - (x0 + frame.t)) < 1e-9
+            assert abs(frame.t2[0] - (x0 + frame.t)) < 1e-9
 
     def test_interpolated_counter(self):
         # Grid times k/145 meet input times m/80 only when k is a multiple

@@ -23,6 +23,7 @@ from helpers import (
     wobbled_pellets,
 )
 from reference import (
+    Point2D,
     angle_from_reference,
     compute_frame,
     compute_la,
@@ -37,7 +38,7 @@ from reference import (
 )
 from tractvar.anatomy import Sex, build_speaker_anatomy
 from tractvar.errors import DataError, DegenerateAngle
-from tractvar.geometry import Point2D, Polyline
+from tractvar.geometry import Polyline
 from tractvar.ingest import PelletTrajectory
 from tractvar.tract_variables import (
     PELLET_NAMES,
