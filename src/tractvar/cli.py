@@ -37,7 +37,7 @@ from .pipeline import (
     run_anatomy_only,
     run_pipeline,
 )
-from .tvcsv import open_atomic
+from .tvcsv import write_atomic
 
 # Named outright: under `python -m tractvar.cli` this module is __main__.
 logger = logging.getLogger("tractvar.cli")
@@ -148,9 +148,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return EXIT_CONFIG
     report = compare_tvs(args.file_a, args.file_b)
     if args.json is not None:
-        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
-        with open_atomic(args.json) as fh:
-            fh.write(text)
+        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+        write_atomic(args.json, [text, "\n"])
     print(format_table(report))
     return EXIT_OK
 

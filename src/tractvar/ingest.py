@@ -61,6 +61,7 @@ _PELLET_HEADER_LINE = ",".join(PELLET_HEADER).encode()
 TRACE_HEADER = ("x", "y")
 
 
+@dataclass(slots=True, eq=False)
 class PelletTrajectory:
     """One utterance's pellet samples, held as columns.
 
@@ -72,15 +73,10 @@ class PelletTrajectory:
     built afresh on each use.  Treat the arrays as read-only.
     """
 
-    __slots__ = ("utterance_id", "t", "xy", "valid")
-
-    def __init__(
-        self, utterance_id: str, t: np.ndarray, xy: np.ndarray, valid: np.ndarray
-    ) -> None:
-        self.utterance_id = utterance_id
-        self.t = t
-        self.xy = xy
-        self.valid = valid
+    utterance_id: str
+    t: np.ndarray
+    xy: np.ndarray
+    valid: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
@@ -251,7 +247,7 @@ def resample(
     n = len(times)
     if n < 2:
         raise DataError(f"need at least 2 frames to resample, got {n}")
-    span = float(times[-1] - times[0])
+    span = float(times[-1]) - float(times[0])  # inf, not a warning, past the range
     # Intervals in the grid before flooring, as a float: a huge rate makes
     # it inf, which `math.floor` cannot take.
     intervals = span * target_rate + 1e-9

@@ -36,7 +36,7 @@ from .ingest import (
 )
 from .plots import anatomy_svg, tv_svg
 from .tract_variables import compute_trajectory
-from .tvcsv import open_atomic, write_anatomy_json, write_tv_csv
+from .tvcsv import write_anatomy_json, write_atomic, write_tv_csv
 
 logger = logging.getLogger(__name__)
 
@@ -76,11 +76,6 @@ class RunConfig:
 def exit_code(exc: Exception) -> int:
     """The exit code an error forces: EXIT_DATA for bad data, else EXIT_CONFIG."""
     return EXIT_DATA if isinstance(exc, DataError) else EXIT_CONFIG
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open_atomic(path) as fh:
-        fh.write(text)
 
 
 def _anatomy_outputs(spec: SpeakerSpec, output_dir: Path) -> list[Path]:
@@ -159,7 +154,7 @@ def _prepare_speaker(
         )
         write_anatomy_json(anat, json_path)
         if svg:
-            _write_text(svg_path, anatomy_svg(anat))
+            write_atomic(svg_path, [anatomy_svg(anat)])
     except (OSError, DataError) as exc:
         logger.error("speaker %s: %s", spec.speaker_id, exc)
         return None, exit_code(exc)
@@ -175,7 +170,7 @@ def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> s
     out_csv, out_svg = _utterance_outputs(path, config.output_dir)
     write_tv_csv(tvs, out_csv, degrees=config.degrees)
     if config.plots:
-        _write_text(out_svg, tv_svg(tvs))
+        write_atomic(out_svg, [tv_svg(tvs)])
     return (
         f"{anat.speaker_id}/{path.stem}: {report.frames_read} frames in, "
         f"{len(tvs)} out, {report.frames_mistracked} mistracked, "

@@ -115,6 +115,7 @@ class TractVariableFrame:
     quality: Quality
 
 
+@dataclass(slots=True, eq=False)
 class TvTrajectory:
     """A uniformly sampled tract-variable series, held as columns.
 
@@ -127,12 +128,9 @@ class TvTrajectory:
     arrays as read-only.
     """
 
-    __slots__ = ("t", "values", "quality")
-
-    def __init__(self, t: np.ndarray, values: np.ndarray, quality: np.ndarray) -> None:
-        self.t = t
-        self.values = values
-        self.quality = quality
+    t: np.ndarray
+    values: np.ndarray
+    quality: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)

@@ -7,8 +7,8 @@ Values are written with shortest round-trip repr so files re-read
 bit-exactly.  Angles are stored in radians unless a writer is asked for
 degrees; readers do not convert.
 
-Every writer here replaces its target atomically: an interrupted or
-failed write leaves either the old file or none, never a truncated one.
+`write_atomic` writes every output: an interrupted or failed write leaves
+the old file or none, never a truncated one, and its error names the output.
 The TV reader rejects a malformed file with a ParseError naming its
 line and column.  `csv_rows` and `parse_float` give the TV, pellet and
 trace readers one set of file, header, row and cell checks, and
@@ -26,9 +26,8 @@ import io
 import json
 import math
 import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,15 +39,13 @@ TV_HEADER = ("t", *TV_NAMES, "quality")
 ANGLE_NAMES = frozenset(("TBCL", "TTCL"))
 
 
-@contextmanager
-def open_atomic(path: str | Path) -> Iterator[TextIO]:
-    """Open `path` for writing UTF-8 text through a temporary file beside
-    it, with no newline translation: the caller's line ends are the file's.
-
-    The temporary file replaces `path` only when the block completes; if
-    the block raises, it is removed and `path` is left as it was.  A
-    path without a final name, such as "" or ".", is a directory.  An
-    OSError from creating the temporary file names `path`, not it.
+def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
+    """Write `parts` to `path` as UTF-8 text, with no newline translation,
+    through a temporary file beside it that replaces `path` once every
+    part is written.  If anything fails, a part included, the temporary
+    file is removed and `path` is left as it was.  A path without a final
+    name, such as "" or ".", is a directory.  An OSError from creating,
+    writing or renaming the file names `path`, never the temporary file.
     """
     path = Path(path)
     if not path.name:
@@ -59,17 +56,18 @@ def open_atomic(path: str | Path) -> Iterator[TextIO]:
         name = name[: -len(suffix) - 1]
     tmp = path.with_name(f".{name}{suffix}")
     try:
+        # Opened outside the cleanup, whose unlink could hide why this failed.
         fh = open(tmp, "w", newline="", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(parts)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         # The temporary name is ours; the caller asked for `path`.
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_tv_csv(
@@ -84,11 +82,14 @@ def write_tv_csv(
                 with np.errstate(over="ignore"):
                     columns[k] = np.degrees(trajectory.values[:, k]).tolist()
     rows = zip(trajectory.t.tolist(), *columns, trajectory.quality.tolist())
-    with open_atomic(path) as fh:
-        fh.write(",".join(TV_HEADER) + "\r\n")
+
+    def lines() -> Iterator[str]:
+        yield ",".join(TV_HEADER) + "\r\n"
         for t, *values, quality in rows:
             cells = [repr(v) if v == v else "" for v in values]
-            fh.write(f"{t!r},{','.join(cells)},{QUALITY_LABELS[quality]}\r\n")
+            yield f"{t!r},{','.join(cells)},{QUALITY_LABELS[quality]}\r\n"
+
+    write_atomic(path, lines())
 
 
 _TV_HEADER_LINE = ",".join(TV_HEADER).encode()
@@ -292,6 +293,4 @@ def write_anatomy_json(anat: SpeakerAnatomy, path: str | Path) -> None:
         "extended_palate": anat.extended_palate.xy.tolist(),
         "reference_center": list(anat.reference_center),
     }
-    with open_atomic(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import errno
 import functools
 import json
 import logging
@@ -30,7 +31,7 @@ from tractvar.cli import main
 from tractvar.compare import ComparisonReport, compare_tvs, format_table, ppmc
 from tractvar.errors import DataError
 from tractvar.tract_variables import TvTrajectory
-from tractvar.tvcsv import TV_HEADER, open_atomic, read_tv_csv, write_tv_csv
+from tractvar.tvcsv import TV_HEADER, read_tv_csv, write_atomic, write_tv_csv
 
 from helpers import (
     ANGLE_TOL,
@@ -290,6 +291,21 @@ class TestRun:
             f"1 interval(s) over 1e-320 s give no finite sample rate"
         ]
 
+    def test_pellet_time_span_past_the_float_range_is_data_error(self, tmp_path, caplog):
+        # t[-1] - t[0] overflows to inf: one error line, not a NumPy warning.
+        root = tmp_path / "data"
+        manifest = write_speaker_fixture(root)
+        write_pellet_csv(
+            root / "utt00.csv", [(t, reference_pellets()) for t in (-1e308, 1e308)]
+        )
+        rc = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out")
+        assert rc == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            f"utterance {root / 'utt00.csv'}: resampling inf s at 145 Hz needs a grid "
+            f"of inf samples, more than the limit of 10,000,000"
+        ]
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -405,10 +421,7 @@ class TestRun:
         (out / "a.anatomy.json").mkdir(parents=True)
         assert run_cli(command, "--manifest", manifest, "--out", out) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-        tmp = out / f".a.anatomy.json.{os.getpid()}.tmp"
-        assert errors == [
-            f"speaker a: [Errno 21] Is a directory: '{tmp}' -> '{out / 'a.anatomy.json'}'"
-        ]
+        assert errors == [f"speaker a: [Errno 21] Is a directory: '{out / 'a.anatomy.json'}'"]
         written = ["b.anatomy.json", "b.anatomy.svg"]
         if command == "run":
             written = ["b.anatomy.json", "utt02.tv.csv", "utt03.tv.csv"]
@@ -987,12 +1000,33 @@ class TestExecutor:
 
 
 class TestAtomicOutputs:
+    @staticmethod
+    def parts(exc):
+        yield "t,LA\n0.0,"
+        raise exc
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         target = tmp_path / "utt.tv.csv"
         with pytest.raises(RuntimeError):
-            with open_atomic(target) as fh:
-                fh.write("t,LA\n0.0,")
-                raise RuntimeError("interrupted")
+            write_atomic(target, self.parts(RuntimeError("interrupted")))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "utt.tv.csv"
+        target.write_text("previous\n")
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(target, self.parts(KeyboardInterrupt()))
+        assert target.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_names_the_output(self, tmp_path):
+        # A disk that fills mid-write: the error names the output, and the
+        # temporary file is gone.
+        target = tmp_path / "utt.tv.csv"
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        with pytest.raises(OSError) as info:
+            write_atomic(target, self.parts(full))
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(target))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
@@ -1016,8 +1050,7 @@ class TestAtomicOutputs:
         # target's name does.
         name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
         target = tmp_path / ("x" * (name_max - len(".anatomy.json")) + ".anatomy.json")
-        with open_atomic(target) as fh:
-            fh.write("{}\n")
+        write_atomic(target, ["{}", "\n"])
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_text() == "{}\n"
 
@@ -1249,6 +1282,56 @@ class TestCompare:
             f"ERROR tractvar.cli: [Errno 2] No such file or directory: '{report}'"
         ])
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_json_onto_a_directory_names_the_report(self, tmp_path):
+        # os.replace fails; the message names the report, not the
+        # temporary file, and that file is gone.
+        a, _ = self.make_tv_files(tmp_path)
+        report = tmp_path / "reports"
+        report.mkdir()
+        proc = run_python(
+            "-m", "tractvar.cli", "compare", a, a, "--json", report, TRACTVAR_LOG="warn"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (1, "", [
+            f"ERROR tractvar.cli: [Errno 21] Is a directory: '{report}'"
+        ])
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "data", tmp_path / "out", report]
+        assert list(report.iterdir()) == []
+
+    def test_timestamps_past_the_float_range_disagree(self, tmp_path, caplog, capsys):
+        # Their difference overflows to inf: one error line, not a warning.
+        a, b = tmp_path / "a.tv.csv", tmp_path / "b.tv.csv"
+        for path, t0 in ((a, -1e308), (b, 1e308)):
+            rows = [f"{t!r},1,2,3,4,5,{k},Ok" for k, t in enumerate((t0, 1.0))]
+            path.write_text("\n".join([",".join(TV_HEADER), *rows]) + "\n")
+        assert run_cli("compare", a, b) == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["timestamps disagree at frame 0: -1e+308 vs 1e+308"]
+
+    @pytest.mark.parametrize("exponent", ["e200", "e-200"])
+    def test_self_compare_is_unity_at_extreme_magnitudes(
+        self, tmp_path, caplog, capsys, exponent
+    ):
+        # Centred sums of raw values would overflow (LA reads -1.0000) or
+        # vanish; nothing may be logged, and no NumPy warning raised.
+        path = tmp_path / "a.tv.csv"
+        rows = [f"{k / 145!r}" + f",{k}{exponent}" * 6 + ",Ok" for k in range(1, 6)]
+        path.write_text("\n".join([",".join(TV_HEADER), *rows]) + "\n")
+        assert run_cli("compare", path, path) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["1.0000"] * 7
+        assert caplog.records == []
+
+    def test_ppmc_of_tiny_series(self):
+        assert ppmc([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
+
+    def test_ppmc_is_exact_under_power_of_two_scaling(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(3.0, 1.0, 50)
+        y = x + rng.normal(0.0, 1.0, 50)
+        r = ppmc(x, y)
+        assert 0.5 < r < 0.9
+        assert [k for k in range(-1000, 1001) if ppmc(np.ldexp(x, k), y) != r] == []
 
     @pytest.mark.parametrize("n_ok", [0, 1])
     def test_too_few_ok_frames_is_data_error(self, tmp_path, caplog, capsys, n_ok):
