@@ -67,9 +67,9 @@ class PelletTrajectory:
 
     `t` has shape (n,) and increases strictly: `parse_pellet_file` and
     `resample` own that, and the constructor checks nothing.  `xy` has
-    shape (n, 8, 2): millimeter coordinates of each pellet in PELLET_NAMES
-    order.  `valid` has shape (n, 8); positions where it is False must not
-    be read.  `frames` presents the same samples as PelletFrame objects,
+    shape (n, 6, 2): millimeter coordinates in REQUIRED_PELLETS order.
+    `valid` has shape (n, 6); positions where it is False must not be
+    read.  `frames` presents the same samples as PelletFrame objects,
     built afresh on each use.  Treat the arrays as read-only.
     """
 
@@ -85,7 +85,9 @@ class PelletTrajectory:
     def frames(self) -> tuple[PelletFrame, ...]:
         return tuple(
             PelletFrame(
-                t, *map(tuple, pellets), valid=frozenset(compress(PELLET_NAMES, flags))
+                t,
+                *map(tuple, pellets),
+                valid=frozenset(compress(REQUIRED_PELLETS, flags)),
             )
             for t, pellets, flags in zip(
                 self.t.tolist(), self.xy.tolist(), self.valid.tolist()
@@ -139,10 +141,11 @@ def parse_pellet_file(path: str | Path) -> tuple[PelletTrajectory, IngestReport]
     """Read one utterance's pellet CSV.
 
     Returns the trajectory, whose utterance id is the file stem, plus an
-    ingest report.  Raises ParseError for a bad header, for malformed
-    rows, non-finite values, non-monotone time, fewer than two rows, a
-    time span too short for a finite sample rate, or text that is not
-    UTF-8.
+    ingest report.  All eight pellets count toward `frames_mistracked`,
+    but the trajectory keeps views of the six REQUIRED_PELLETS only.
+    Raises ParseError for a bad header, for malformed rows, non-finite
+    values, non-monotone time, fewer than two rows, a time span too
+    short for a finite sample rate, or text that is not UTF-8.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -168,8 +171,9 @@ def parse_pellet_file(path: str | Path) -> tuple[PelletTrajectory, IngestReport]
         raise ParseError(
             f"{n - 1} interval(s) over {span!r} s give no finite sample rate", path
         )
-    mistracked = int(np.count_nonzero(~valid.all(axis=1)))
-    return PelletTrajectory(path.stem, t, xy, valid), IngestReport(n, mistracked)
+    report = IngestReport(n, int(np.count_nonzero(~valid.all(axis=1))))
+    kept = len(REQUIRED_PELLETS)
+    return PelletTrajectory(path.stem, t, xy[:, :kept], valid[:, :kept]), report
 
 
 def parse_trace_file(path: str | Path, kind: str) -> Polyline:
@@ -231,14 +235,9 @@ def resample(
     the number of pellet samples that were synthesized between input
     timestamps (exact grid hits do not count).
 
-    A pellet outside REQUIRED_PELLETS may have fewer than two valid
-    samples.  With one, `np.interp` holds it; with none, it is placed at
-    the origin.  Either way it is flagged invalid wherever it was not
-    tracked, so those placeholders are never read.
-
     Raises DataError when the trajectory has fewer than two frames or a
-    required pellet has fewer than two valid samples, when the grid would
-    have more than MAX_GRID_SAMPLES samples, or when its times would not
+    pellet has fewer than two valid samples, when the grid would have
+    more than MAX_GRID_SAMPLES samples, or when its times would not
     increase (a step below the spacing of doubles at t).
     """
     if target_rate <= 0.0 or not math.isfinite(target_rate):
@@ -276,25 +275,20 @@ def resample(
     left = np.where(exact, right, np.maximum(right - 1, 0))
 
     valid = trajectory.valid
-    xy = np.empty((count, len(PELLET_NAMES), 2))
-    for k, name in enumerate(PELLET_NAMES):
+    xy = np.empty((count, len(REQUIRED_PELLETS), 2))
+    for k, name in enumerate(REQUIRED_PELLETS):
         mask = valid[:, k]
         n_valid = int(np.count_nonzero(mask))
-        if n_valid < 2 and name in REQUIRED_PELLETS:
+        if n_valid < 2:
             raise DataError(
                 f"pellet {name} has {n_valid} valid sample(s), cannot interpolate"
             )
-        if n_valid == 0:
-            # An untracked mandible pellet: a finite placeholder, never valid.
-            xy[:, k] = 0.0
-            continue
         tv = times[mask]
         xy[:, k, 0] = np.interp(grid, tv, trajectory.xy[mask, k, 0])
         xy[:, k, 1] = np.interp(grid, tv, trajectory.xy[mask, k, 1])
     if report is not None:
-        report.pellets_interpolated += len(PELLET_NAMES) * int(
-            np.count_nonzero(~exact)
-        )
+        # Over the file's eight pellets: the count perfbench's trace mode checks.
+        report.pellets_interpolated += len(PELLET_NAMES) * int(np.count_nonzero(~exact))
     return PelletTrajectory(trajectory.utterance_id, grid, xy, valid[left] & valid[right])
 
 

@@ -48,16 +48,14 @@ from .geometry import (
 if TYPE_CHECKING:
     from .ingest import PelletTrajectory
 
-# Canonical pellet order: lips, tongue front-to-back, mandible.
-PELLET_NAMES = ("UL", "LL", "T1", "T2", "T3", "T4", "MNI", "MNM")
-
-# Pellets that feed at least one tract variable.  The mandible pellets
-# ride along in the data but are not consumed here.
+# The pellet axis of `PelletTrajectory.xy` and `.valid`: the pellets that
+# feed the tract variables, lips then tongue front to back.
 REQUIRED_PELLETS = ("UL", "LL", "T1", "T2", "T3", "T4")
+_UL, _LL, _T1, _T2, _T3, _T4 = range(len(REQUIRED_PELLETS))
 
-# Pellet axis indices of `PelletTrajectory.xy` and `.valid`.
-_UL, _LL, _T1, _T2, _T3, _T4 = (PELLET_NAMES.index(n) for n in REQUIRED_PELLETS)
-_REQUIRED = [_UL, _LL, _T1, _T2, _T3, _T4]
+# The pellet file's column order.  The two mandible pellets are read,
+# checked and counted as mistracked, but not carried past the parse.
+PELLET_NAMES = (*REQUIRED_PELLETS, "MNI", "MNM")
 
 # Tract variables in file-column order, which is also the column order
 # of `TvTrajectory.values`.
@@ -81,7 +79,7 @@ OK, DEGENERATE_TONGUE, MISSING_PELLET = range(len(QUALITY_LABELS))
 
 @dataclass(frozen=True, slots=True)
 class PelletFrame:
-    """One time sample of the eight tracked pellets, each an (x, y) pair:
+    """One time sample of the six REQUIRED_PELLETS, each an (x, y) pair:
     the record that `PelletTrajectory.frames` presents.  `valid` holds
     the names of the pellets whose positions can be trusted."""
 
@@ -92,8 +90,6 @@ class PelletFrame:
     t2: tuple[float, float]
     t3: tuple[float, float]
     t4: tuple[float, float]
-    mni: tuple[float, float]
-    mnm: tuple[float, float]
     valid: frozenset[str]
 
 
@@ -274,5 +270,5 @@ def compute_trajectory(
 
     quality = np.full(n, OK, dtype=np.int8)
     quality[flat] = DEGENERATE_TONGUE
-    quality[~valid[:, _REQUIRED].all(axis=1)] = MISSING_PELLET
+    quality[~valid.all(axis=1)] = MISSING_PELLET
     return TvTrajectory(trajectory.t, values, quality)

@@ -30,7 +30,13 @@ import numpy as np
 
 from tractvar.anatomy import Sex, build_speaker_anatomy
 from tractvar.geometry import Polyline
-from tractvar.tract_variables import PELLET_NAMES, QUALITY_LABELS, TV_NAMES, PelletFrame
+from tractvar.tract_variables import (
+    PELLET_NAMES,
+    QUALITY_LABELS,
+    REQUIRED_PELLETS,
+    TV_NAMES,
+    PelletFrame,
+)
 from tractvar.tvcsv import read_tv_csv
 
 from reference import Point2D, points, polyline
@@ -137,8 +143,8 @@ def make_frame(
     invalid: set[str] | None = None,
 ) -> PelletFrame:
     coords = reference_pellets() if pellets is None else pellets
-    valid = set(PELLET_NAMES) - (invalid or set())
-    kwargs = {name.lower(): Point2D(*coords[name]) for name in PELLET_NAMES}
+    valid = set(REQUIRED_PELLETS) - (invalid or set())
+    kwargs = {name.lower(): Point2D(*coords[name]) for name in REQUIRED_PELLETS}
     return PelletFrame(t=t, valid=frozenset(valid), **kwargs)
 
 

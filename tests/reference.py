@@ -400,7 +400,7 @@ def compute_frame(
     """
     frame = PelletFrame(
         frame.t,
-        *(Point2D(*getattr(frame, name.lower())) for name in PELLET_NAMES),
+        *(Point2D(*getattr(frame, name.lower())) for name in REQUIRED_PELLETS),
         valid=frame.valid,
     )
     valid = frame.valid
@@ -452,13 +452,13 @@ def pellet_trajectory(
         [
             (p.x, p.y)
             for f in frames
-            for p in (f.ul, f.ll, f.t1, f.t2, f.t3, f.t4, f.mni, f.mnm)
+            for p in (f.ul, f.ll, f.t1, f.t2, f.t3, f.t4)
         ],
         dtype=np.float64,
-    ).reshape(n, len(PELLET_NAMES), 2)
+    ).reshape(n, len(REQUIRED_PELLETS), 2)
     valid = np.array(
-        [name in f.valid for f in frames for name in PELLET_NAMES], dtype=bool
-    ).reshape(n, len(PELLET_NAMES))
+        [name in f.valid for f in frames for name in REQUIRED_PELLETS], dtype=bool
+    ).reshape(n, len(REQUIRED_PELLETS))
     return PelletTrajectory(utterance_id, t, xy, valid)
 
 
@@ -482,10 +482,12 @@ def write_pellet_file(trajectory: PelletTrajectory, path: str | Path) -> None:
     """Write a trajectory back to pellet CSV.
 
     Valid pellet coordinates round-trip bit-exactly (shortest repr);
-    invalid pellets are written as the 1e6 sentinel so the flag survives.
+    invalid pellets are written as the 1e6 sentinel so the flag survives,
+    and so are the mandible pellets, which a trajectory does not hold.
     """
     n = len(trajectory)
-    cells = np.where(trajectory.valid[:, :, None], trajectory.xy, SENTINEL_OUT)
+    cells = np.full((n, len(PELLET_NAMES), 2), SENTINEL_OUT)
+    cells[:, : len(REQUIRED_PELLETS)][trajectory.valid] = trajectory.xy[trajectory.valid]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PELLET_HEADER)

@@ -22,7 +22,7 @@ from tractvar.cli import main
 from tractvar.compare import compare_tvs, format_table, ppmc
 from tractvar.geometry import circle_polyline_contacts
 from tractvar.ingest import PelletTrajectory, resample
-from tractvar.tract_variables import PELLET_NAMES, compute_trajectory
+from tractvar.tract_variables import PELLET_NAMES, REQUIRED_PELLETS, compute_trajectory
 from tractvar.tvcsv import TV_NAMES, write_tv_csv
 
 from helpers import (
@@ -262,7 +262,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     assert len(out.frames) == 146
     worst_affine = 0.0
     for frame in out.frames:
-        for name in PELLET_NAMES:
+        for name in REQUIRED_PELLETS:
             x0, y0 = base[name]
             x, y = getattr(frame, name.lower())
             worst_affine = max(
@@ -275,7 +275,7 @@ def test_criterion_6_resampling_exactness_and_drift():
     const_frames = tuple(make_frame(k / 80.0, base) for k in range(41))
     const_out = resample(pellet_trajectory(const_frames), 145.0)
     for frame in const_out.frames:
-        for name in PELLET_NAMES:
+        for name in REQUIRED_PELLETS:
             assert getattr(frame, name.lower()) == base[name]
 
     # Two frames spanning 1e5 output samples: the grid must not drift.

@@ -29,7 +29,7 @@ from tractvar.ingest import (
     parse_trace_file,
     resample,
 )
-from tractvar.tract_variables import PELLET_NAMES
+from tractvar.tract_variables import PELLET_NAMES, REQUIRED_PELLETS
 
 from reference import pellet_trajectory, points, write_pellet_file
 
@@ -248,8 +248,28 @@ class TestParsePelletFile:
         assert report.frames_mistracked == 2
         assert "T1" not in traj.frames[2].valid
         assert "T2" in traj.frames[2].valid
-        assert "MNM" not in traj.frames[3].valid
-        assert traj.frames[0].valid == frozenset(PELLET_NAMES)
+        assert traj.frames[3].valid == frozenset(REQUIRED_PELLETS) - {"T1"}
+        assert traj.frames[0].valid == frozenset(REQUIRED_PELLETS)
+
+    @pytest.mark.parametrize("tracked", [0, 1])
+    @pytest.mark.parametrize("rate", [80.0, 145.0])
+    def test_mandible_pellet_tracked_under_twice_is_dropped(self, tmp_path, tracked, rate):
+        # MNM is tracked only in row 2, or never.  It counts as mistracked,
+        # but the trajectory has no mandible axis, so the take parses and
+        # resamples as if MNM were tracked throughout.
+        path = tmp_path / "utt.csv"
+        invalid = {k: ("MNM",) for k in range(5) if not (tracked and k == 2)}
+        write_pellet_csv(path, pellet_rows(5, rate=80.0, invalid=invalid))
+        traj, report = parse_pellet_file(path)
+        assert report.frames_mistracked == 5 - tracked
+        assert traj.xy.shape == (5, len(REQUIRED_PELLETS), 2)
+        assert traj.valid.shape == (5, len(REQUIRED_PELLETS)) and traj.valid.all()
+        out = resample(traj, rate)
+        assert out.xy.shape == (len(out), len(REQUIRED_PELLETS), 2)
+        assert out.valid.shape == (len(out), len(REQUIRED_PELLETS)) and out.valid.all()
+        write_pellet_csv(path, pellet_rows(5, rate=80.0))
+        tracked_throughout = resample(parse_pellet_file(path)[0], rate)
+        assert out.xy.tobytes() == tracked_throughout.xy.tobytes()
 
     def test_sentinel_threshold_boundary(self, tmp_path):
         # Magnitude exactly at the threshold is mistracked; just below is not.
@@ -279,7 +299,7 @@ class TestWritePelletFile:
         for a, b in zip(traj.frames, back.frames):
             assert b.t == a.t
             assert b.valid == a.valid
-            for name in PELLET_NAMES:
+            for name in REQUIRED_PELLETS:
                 if name in a.valid:
                     assert getattr(b, name.lower()) == getattr(a, name.lower())
 
@@ -392,9 +412,10 @@ class TestPelletFastPath:
         assert expected[0] == "ok" and expected[-1].frames_read == 40
 
     def test_holds_a_take_about_once(self, tmp_path):
-        # The traced peak of a parse, against the bytes of what it returns.
-        # A copy of this file's bytes alone is 1.6 times those, and a float
-        # temporary the size of `xy` 0.9 times.
+        # The traced peak of a parse, against the bytes that what it returns
+        # keeps alive: the parsed table and the eight-pellet mask behind its
+        # views.  A copy of this file's bytes alone is 1.6 times those, and a
+        # float temporary the size of the table's pellet columns 0.9 times.
         path = tmp_path / "take.csv"
         write_take(path, 8_000)
         parse_pellet_file(path)  # first-call costs are not the take's
@@ -404,7 +425,8 @@ class TestPelletFastPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (traj.t.nbytes + traj.xy.nbytes + traj.valid.nbytes)
+        assert traj.t.base is traj.xy.base
+        assert peak <= 1.5 * (traj.xy.base.nbytes + traj.valid.base.nbytes)
 
     @pytest.mark.parametrize("token", PELLET_TOKENS)
     def test_each_token_agrees_with_the_per_cell_reference(
@@ -564,9 +586,11 @@ class TestParseTraceFile:
 
 
 def oracle_validity(raw_times, raw_valid, t):
-    """Validity of one resampled point, by direct interval lookup."""
-    i = bisect.bisect_left(raw_times, t)
-    if i < len(raw_times) and raw_times[i] == t:
+    """Validity of one resampled point, by direct interval lookup.  A point
+    just past the last sample, which the count guard of `resample` admits,
+    lies in the last interval."""
+    i = min(bisect.bisect_left(raw_times, t), len(raw_times) - 1)
+    if raw_times[i] == t:
         return raw_valid[i]
     return raw_valid[i - 1] and raw_valid[i]
 
@@ -595,7 +619,7 @@ class TestResample:
         traj = pellet_trajectory(frames)
         out = resample(traj, 145.0)
         for frame in out.frames:
-            for name in PELLET_NAMES:
+            for name in REQUIRED_PELLETS:
                 assert getattr(frame, name.lower()) == coords[name]
 
     def test_affine_signal_reproduced(self):
@@ -611,7 +635,7 @@ class TestResample:
         traj = pellet_trajectory(frames)
         out = resample(traj, 145.0)
         for frame in out.frames:
-            for name in PELLET_NAMES:
+            for name in REQUIRED_PELLETS:
                 x0, y0 = base[name]
                 x, y = getattr(frame, name.lower())
                 assert x == pytest.approx(x0 + a * frame.t, abs=1e-9)
@@ -704,27 +728,6 @@ class TestResample:
         ):
             resample(traj, 145.0)
 
-    @pytest.mark.parametrize("tracked", [0, 1])
-    @pytest.mark.parametrize("rate", [80.0, 145.0])
-    def test_mandible_pellet_tracked_under_twice_is_kept_invalid(self, tracked, rate):
-        # MNM is tracked only in frame 2, or never.  At 80 Hz the grid hits
-        # every input time, so frame 2 keeps its value and its flag; at
-        # 145 Hz no grid time hits 0.025 s, so MNM is never valid.
-        invalid = {k: {"MNM"} for k in range(5) if not (tracked and k == 2)}
-        traj = self.make_traj(5, 80.0, invalid=invalid)
-        out = resample(traj, rate)
-        mnm = PELLET_NAMES.index("MNM")
-        expected = np.zeros(len(out), dtype=bool)
-        if tracked and rate == 80.0:
-            expected[2] = True
-            assert out.xy[2, mnm].tolist() == traj.xy[2, mnm].tolist()
-        assert out.valid[:, mnm].tolist() == expected.tolist()
-        assert np.isfinite(out.xy).all()
-        others = [k for k in range(len(PELLET_NAMES)) if k != mnm]
-        assert out.valid[:, others].all()
-        tracked_throughout = resample(self.make_traj(5, 80.0), rate)
-        assert out.xy[:, others].tobytes() == tracked_throughout.xy[:, others].tobytes()
-
     @pytest.mark.parametrize(
         "rate, size", [(1e300, "2.487e+300"), (1e308, "inf")], ids=["1e300", "1e308"]
     )
@@ -771,11 +774,14 @@ class TestResampleProperties:
     @staticmethod
     def columns(times, seed):
         """Random coordinates, and validity with every pellet valid in the
-        first and last frames, so that each can be interpolated."""
+        first and last frames, so that each can be interpolated.  They are
+        drawn for the eight pellets of a file and cut to the six that a
+        trajectory keeps, as the parse does."""
         rng = np.random.default_rng(seed)
         n = len(times)
-        xy = rng.uniform(-50.0, 50.0, size=(n, len(PELLET_NAMES), 2))
-        valid = rng.random((n, len(PELLET_NAMES))) < 0.7
+        kept = len(REQUIRED_PELLETS)
+        xy = rng.uniform(-50.0, 50.0, size=(n, len(PELLET_NAMES), 2))[:, :kept]
+        valid = (rng.random((n, len(PELLET_NAMES))) < 0.7)[:, :kept]
         valid[[0, -1]] = True
         return PelletTrajectory("u", np.array(times), xy, valid)
 
@@ -816,7 +822,7 @@ class TestResampleProperties:
         traj = self.columns((t0 + np.cumsum([0.0, *gaps])).tolist(), seed)
         out = resample(traj, rate)
         raw_times = traj.t.tolist()
-        for k in range(len(PELLET_NAMES)):
+        for k in range(len(REQUIRED_PELLETS)):
             raw_valid = traj.valid[:, k].tolist()
             expect = [oracle_validity(raw_times, raw_valid, t) for t in out.t.tolist()]
             assert out.valid[:, k].tolist() == expect
