@@ -35,10 +35,6 @@ from .geometry import (
     fit_circle,
 )
 
-# Oropharyngeal wall thickness defaults (mm), by speaker sex.
-FEMALE_THICKNESS_MM = 5.8
-MALE_THICKNESS_MM = 5.6
-
 # Sampling step bound (mm) for the soft-palate extension.
 VELUM_STEP_MM = 1.0
 
@@ -57,11 +53,9 @@ class Sex(enum.Enum):
     FEMALE = "F"
     MALE = "M"
 
-    @property
-    def default_thickness_mm(self) -> float:
-        if self is Sex.FEMALE:
-            return FEMALE_THICKNESS_MM
-        return MALE_THICKNESS_MM
+
+# Oropharyngeal wall thickness defaults (mm), by speaker sex.
+DEFAULT_THICKNESS_MM = {Sex.FEMALE: 5.8, Sex.MALE: 5.6}
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,7 @@ def build_speaker_anatomy(
     from the underlying geometry propagate as they are; the caller knows
     which speaker it asked for.
     """
-    thickness = sex.default_thickness_mm if thickness_mm is None else thickness_mm
+    thickness = DEFAULT_THICKNESS_MM[sex] if thickness_mm is None else thickness_mm
     anterior = infer_anterior_wall(posterior_wall, thickness)
     extended = extend_palate(palate, anterior)
     cx, cy = palatal_reference_center(palate)

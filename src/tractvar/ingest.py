@@ -224,12 +224,13 @@ def resample(
     """Resample a trajectory onto a uniform grid at `target_rate`.
 
     The grid starts exactly at the first input timestamp and steps by
-    1/rate computed fresh per sample (no cumulative drift).  Each pellet
-    coordinate is interpolated linearly between its temporally adjacent
-    valid samples; an output sample whose enclosing raw interval touches
-    an invalid input sample is flagged invalid for that pellet.  Grid
-    points that coincide with input timestamps reproduce the input values
-    exactly.
+    1/rate computed fresh per sample (no cumulative drift).  It never
+    passes the last input timestamp: a last grid time that rounding puts
+    just past it is that timestamp instead.  Each pellet coordinate is
+    interpolated linearly between its temporally adjacent valid samples;
+    an output sample whose enclosing raw interval touches an invalid
+    input sample is flagged invalid for that pellet.  Grid points that
+    coincide with input timestamps reproduce the input values exactly.
 
     When `report` is given, its `pellets_interpolated` counter grows by
     the number of pellet samples that were synthesized between input
@@ -258,6 +259,8 @@ def resample(
         )
     count = int(math.floor(intervals)) + 1
     grid = times[0] + np.arange(count, dtype=np.float64) / target_rate
+    # The guard above can keep a last time that rounds just past the take.
+    grid[-1] = min(grid[-1], times[-1])
     # Far from t = 0 a step of 1/rate can be below the spacing of doubles.
     stalled = np.flatnonzero(grid[1:] <= grid[:-1])
     if len(stalled):
@@ -270,9 +273,8 @@ def resample(
     # contamination is defined on raw intervals regardless of which
     # samples are valid.
     right = np.searchsorted(times, grid, side="left")
-    right = np.clip(right, 0, n - 1)
     exact = times[right] == grid
-    left = np.where(exact, right, np.maximum(right - 1, 0))
+    left = np.where(exact, right, right - 1)
 
     valid = trajectory.valid
     xy = np.empty((count, len(REQUIRED_PELLETS), 2))

@@ -1,8 +1,9 @@
 """Batch processing: manifest in, per-utterance TV files out.
 
-First `output_clash` checks that no planned output lands on an input
-or on another output.  Then every speaker's anatomy is derived and
-written, in the calling process.  Then each utterance is a pure function
+`run` and `anatomy` share one setup phase, in the calling process: it
+loads the manifest, has `output_clash` check that no planned output
+lands on an input or on another output, and derives and writes every
+speaker's anatomy.  Then, for `run`, each utterance is a pure function
 of its own input file plus its speaker's anatomy.  With parallelism 1
 the utterances run one after another in the calling thread; above 1 the
 run forks one pool of worker processes, at most one per utterance, hands
@@ -92,31 +93,27 @@ def output_clash(inputs: list[Path], outputs: list[tuple[Path, str]]) -> str | N
     """Why the planned outputs cannot all be written, or None.  Each output
     is paired with the item it is written for ("speaker jw11"), and may
     resolve neither to an input nor to the file of an earlier output."""
-    dirs: dict[str, str] = {}
-
-    def realpath(path: Path) -> str:  # resolves each parent directory once
-        head, name = os.path.split(path)
-        if head not in dirs:
-            dirs[head] = os.path.realpath(head)
-        real = os.path.join(dirs[head], name)
-        return os.path.realpath(real) if os.path.islink(real) else real
-
     # Reversed, so that the first input to name a file is the one reported.
-    claimed = {realpath(path): f"input {path}" for path in reversed(inputs)}
+    claimed = {os.path.realpath(path): f"input {path}" for path in reversed(inputs)}
     for path, item in outputs:
-        real = realpath(path)
+        real = os.path.realpath(path)
         if real in claimed:
             return f"output {path} would overwrite {claimed[real]}"
         claimed[real] = f"the output of {item}"
     return None
 
 
-def _load_speakers(
+def _set_up(
     manifest_path: Path, output_dir: Path, svg: bool, utterances: bool
-) -> list[SpeakerSpec] | None:
-    """Load the manifest and check its planned outputs against its inputs
-    (manifest, traces, utterances) and each other.  On failure, log why
-    and return None."""
+) -> tuple[int, list[tuple[SpeakerAnatomy, Path]]] | None:
+    """Load the manifest, check its planned outputs against its inputs
+    (manifest, traces, utterances) and each other, then derive and write
+    every speaker's anatomy (JSON, and SVG if asked).
+
+    Returns the exit code the speakers force and the (anatomy, utterance)
+    jobs of every speaker whose anatomy was written.  A refused manifest
+    is logged and gives None, before anything is written.
+    """
     try:
         speakers = load_manifest(manifest_path)
     except (OSError, ConfigError) as exc:
@@ -135,30 +132,27 @@ def _load_speakers(
     if clash is not None:
         logger.error("%s", clash)
         return None
-    return speakers
+    output_dir.mkdir(parents=True, exist_ok=True)
 
-
-def _prepare_speaker(
-    spec: SpeakerSpec, output_dir: Path, svg: bool
-) -> tuple[SpeakerAnatomy | None, int]:
-    """Derive and write one speaker's anatomy (JSON, and SVG if asked).
-
-    Returns the anatomy, or None with the exit code its failure forces.
-    """
-    json_path, svg_path = _anatomy_outputs(spec, output_dir)
-    try:
-        palate = parse_trace_file(spec.palate_path, "palate")
-        wall = parse_trace_file(spec.posterior_wall_path, "wall")
-        anat = build_speaker_anatomy(
-            spec.speaker_id, palate, wall, spec.sex, thickness_mm=spec.thickness_mm
-        )
-        write_anatomy_json(anat, json_path)
-        if svg:
-            write_atomic(svg_path, [anatomy_svg(anat)])
-    except (OSError, DataError) as exc:
-        logger.error("speaker %s: %s", spec.speaker_id, exc)
-        return None, exit_code(exc)
-    return anat, EXIT_OK
+    codes = [EXIT_OK]
+    jobs: list[tuple[SpeakerAnatomy, Path]] = []
+    for spec in speakers:
+        json_path, svg_path = _anatomy_outputs(spec, output_dir)
+        try:
+            palate = parse_trace_file(spec.palate_path, "palate")
+            wall = parse_trace_file(spec.posterior_wall_path, "wall")
+            anat = build_speaker_anatomy(
+                spec.speaker_id, palate, wall, spec.sex, thickness_mm=spec.thickness_mm
+            )
+            write_anatomy_json(anat, json_path)
+            if svg:
+                write_atomic(svg_path, [anatomy_svg(anat)])
+        except (OSError, DataError) as exc:
+            logger.error("speaker %s: %s", spec.speaker_id, exc)
+            codes.append(exit_code(exc))
+            continue
+        jobs += [(anat, path) for path in spec.utterance_paths]
+    return max(codes, key=_SEVERITY.__getitem__), jobs
 
 
 def _process_utterance(anat: SpeakerAnatomy, path: Path, config: RunConfig) -> str:
@@ -253,20 +247,11 @@ def run_pipeline(config: RunConfig) -> int:
     dies ends the run with exit 1.
     Exit codes: 0 success, 1 configuration or I/O trouble, 2 bad data.
     """
-    speakers = _load_speakers(
-        config.manifest_path, config.output_dir, config.plots, utterances=True
-    )
-    if speakers is None:
+    setup = _set_up(config.manifest_path, config.output_dir, config.plots, utterances=True)
+    if setup is None:
         return EXIT_CONFIG
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-
-    codes = [EXIT_OK]
-    jobs: list[tuple[SpeakerAnatomy, Path]] = []
-    for spec in speakers:
-        anat, code = _prepare_speaker(spec, config.output_dir, config.plots)
-        codes.append(code)
-        if anat is not None:
-            jobs += [(anat, path) for path in spec.utterance_paths]
+    speaker_code, jobs = setup
+    codes = [speaker_code]
     outcomes = []
     for code, line in _outcomes(jobs, config):
         logger.log(logging.INFO if code == EXIT_OK else logging.ERROR, "%s", line)
@@ -283,10 +268,5 @@ def run_pipeline(config: RunConfig) -> int:
 
 def run_anatomy_only(manifest_path: Path, output_dir: Path) -> int:
     """Derive and write anatomy (JSON plus figure) without utterances."""
-    speakers = _load_speakers(manifest_path, output_dir, svg=True, utterances=False)
-    if speakers is None:
-        return EXIT_CONFIG
-    output_dir.mkdir(parents=True, exist_ok=True)
-    codes = [EXIT_OK]
-    codes.extend(_prepare_speaker(spec, output_dir, svg=True)[1] for spec in speakers)
-    return max(codes, key=_SEVERITY.__getitem__)
+    setup = _set_up(manifest_path, output_dir, svg=True, utterances=False)
+    return EXIT_CONFIG if setup is None else setup[0]

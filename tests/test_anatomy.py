@@ -14,8 +14,7 @@ from helpers import (
     synthetic_anatomy,
 )
 from tractvar.anatomy import (
-    FEMALE_THICKNESS_MM,
-    MALE_THICKNESS_MM,
+    DEFAULT_THICKNESS_MM,
     Sex,
     build_speaker_anatomy,
     extend_palate,
@@ -38,10 +37,9 @@ def vertical_wall(x=-80.0, y_top=40.0, y_bottom=-40.0, step=5.0):
 
 class TestSexDefaults:
     def test_thickness_values(self):
-        assert Sex.FEMALE.default_thickness_mm == 5.8
-        assert Sex.MALE.default_thickness_mm == 5.6
-        assert FEMALE_THICKNESS_MM == 5.8
-        assert MALE_THICKNESS_MM == 5.6
+        assert DEFAULT_THICKNESS_MM[Sex.FEMALE] == 5.8
+        assert DEFAULT_THICKNESS_MM[Sex.MALE] == 5.6
+        assert set(DEFAULT_THICKNESS_MM) == set(Sex)
 
     def test_codes(self):
         assert Sex("F") is Sex.FEMALE
@@ -50,12 +48,12 @@ class TestSexDefaults:
 
 class TestInferAnteriorWall:
     def test_female_shift_is_exact(self):
-        anterior = infer_anterior_wall(vertical_wall(x=-80.0), FEMALE_THICKNESS_MM)
+        anterior = infer_anterior_wall(vertical_wall(x=-80.0), DEFAULT_THICKNESS_MM[Sex.FEMALE])
         for p in points(anterior):
             assert p.x == -74.2
 
     def test_male_shift_is_exact(self):
-        anterior = infer_anterior_wall(vertical_wall(x=-80.0), MALE_THICKNESS_MM)
+        anterior = infer_anterior_wall(vertical_wall(x=-80.0), DEFAULT_THICKNESS_MM[Sex.MALE])
         for p in points(anterior):
             assert p.x == -74.4
 
@@ -77,7 +75,7 @@ class TestExtendPalate:
     def test_junction_from_worked_example(self):
         # Ray through (-20, 15) -> (-25, 14) meets x = -74.2 at y = 4.16.
         palate = polyline([P(-10, 16), P(-20, 15), P(-25, 14)])
-        anterior = infer_anterior_wall(vertical_wall(x=-80.0), FEMALE_THICKNESS_MM)
+        anterior = infer_anterior_wall(vertical_wall(x=-80.0), DEFAULT_THICKNESS_MM[Sex.FEMALE])
         extended = extend_palate(palate, anterior)
         # The junction is the last point not on the wall suffix; on a
         # vertical wall every suffix point shares x = -74.2 too, so find
@@ -186,9 +184,9 @@ class TestBuildSpeakerAnatomy:
     def test_full_synthetic_bundle(self):
         anat = synthetic_anatomy()
         assert anat.speaker_id == "synth"
-        assert anat.thickness_mm == FEMALE_THICKNESS_MM
+        assert anat.thickness_mm == DEFAULT_THICKNESS_MM[Sex.FEMALE]
         for post, ant in zip(points(anat.posterior_wall), points(anat.anterior_wall)):
-            assert ant.x == post.x + FEMALE_THICKNESS_MM
+            assert ant.x == post.x + DEFAULT_THICKNESS_MM[Sex.FEMALE]
             assert ant.y == post.y
         assert anat.reference_center[0] == pytest.approx(PALATE_CENTER[0], abs=1e-6)
         assert anat.reference_center[1] == pytest.approx(PALATE_CENTER[1], abs=1e-6)

@@ -586,10 +586,8 @@ class TestParseTraceFile:
 
 
 def oracle_validity(raw_times, raw_valid, t):
-    """Validity of one resampled point, by direct interval lookup.  A point
-    just past the last sample, which the count guard of `resample` admits,
-    lies in the last interval."""
-    i = min(bisect.bisect_left(raw_times, t), len(raw_times) - 1)
+    """Validity of one resampled point, by direct interval lookup."""
+    i = bisect.bisect_left(raw_times, t)
     if raw_times[i] == t:
         return raw_valid[i]
     return raw_valid[i - 1] and raw_valid[i]
@@ -714,6 +712,19 @@ class TestResample:
         assert len(out.frames) == 2
         assert out.frames[1].t == 1.0 / 3.0
 
+    def test_count_guard_stops_at_the_last_time(self):
+        # Span 0.049999999999999996 s at 20 Hz: the guard keeps a second
+        # sample, whose grid time 1/20 = 0.05 s would pass the take's end.
+        # It lands on the last input time and copies the last row.
+        frames = (make_frame(0.0), make_frame(0.049999999999999996, wobbled_pellets(1.0)))
+        traj = pellet_trajectory(frames)
+        report = IngestReport()
+        out = resample(traj, 20.0, report=report)
+        assert out.t.tolist() == [0.0, 0.049999999999999996]
+        assert (out.xy[-1] == traj.xy[-1]).all()
+        assert out.valid.all()
+        assert report.pellets_interpolated == 0
+
     def test_single_frame_insufficient(self):
         traj = pellet_trajectory((make_frame(0.0),), "solo")
         with pytest.raises(DataError) as excinfo:
@@ -826,6 +837,22 @@ class TestResampleProperties:
             raw_valid = traj.valid[:, k].tolist()
             expect = [oracle_validity(raw_times, raw_valid, t) for t in out.t.tolist()]
             assert out.valid[:, k].tolist() == expect
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        t0=st.floats(-1e3, 1e3),
+        steps=st.integers(1, 2000),
+        rate=st.floats(1.0, 1000.0),
+        ulps=st.integers(0, 3),
+    )
+    def test_last_time_never_passes_the_last_input(self, t0, steps, rate, ulps):
+        # The take ends on a grid time `resample` computes, or a few doubles
+        # below it, where the count guard may still keep that grid time.
+        end = t0 + steps / rate
+        for _ in range(ulps):
+            end = math.nextafter(end, -math.inf)
+        traj = self.columns([t0, end], 0)
+        assert resample(traj, rate).t[-1] <= end
 
 
 class TestLoadManifest:

@@ -103,10 +103,21 @@ class TestReadTvCsv:
 
     def test_empty_cell_in_a_non_ok_frame_is_nan(self, tmp_path):
         path = self.write_with_cells(tmp_path, 4, LA="", quality="MissingPellet")
+        # Runs of 2, 3 and all 6 adjacent empty cells.
+        with open(path, "a", newline="") as fh:
+            fh.write("1.0,,,3,4,5,6,DegenerateTongue\r\n")
+            fh.write("1.5,1,,,,5,6,MissingPellet\r\n")
+            fh.write("2.0,,,,,,,MissingPellet\r\n")
         assert _parse_regular_tv(path.read_bytes()) is not None
+        assert outcome(read_tv_csv, path) == outcome(_read_tv_cells, path)
         _, values, quality = read_tv_csv(path)
         assert math.isnan(values[2, 0])
         assert quality[2] == MISSING_PELLET
+        assert np.isnan(values[6:]).tolist() == [
+            [True, True, False, False, False, False],
+            [False, True, True, True, False, False],
+            [True] * 6,
+        ]
 
     @pytest.mark.parametrize("row", ["0.0,1,2,3,4,5,6", "0.0,1,2,3,4,5,6,Ok,"])
     def test_row_without_eight_fields(self, tmp_path, row):
